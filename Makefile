@@ -62,9 +62,10 @@ bench-stall:
 	$(GO) test -run=NONE -bench='BenchmarkStallSweep' -benchtime=1x ./internal/simjob
 
 # Race the 64-point sweep grid under re-simulation ("sim:ear", one
-# trace pass per point) against the miss-ratio-curve sources ("mrc:ear"
-# and "mrc~:ear", one pass per line size): the internal/mrc headline
-# numbers.
+# generated trace replayed through one cache per (cache size, line
+# size) geometry, 32 here) against the miss-ratio-curve sources
+# ("mrc:ear" and "mrc~:ear", one pass per line size): the internal/mrc
+# headline numbers.
 bench-mrc:
 	$(GO) test -run=NONE -bench='BenchmarkSweepSim$$|BenchmarkSweepMRC' -benchmem .
 
@@ -76,13 +77,14 @@ bench-record:
 
 # Smoke-run the span exporter: sweep the example design space with
 # -trace and validate the resulting Chrome trace_event JSON with
-# cmd/tracecheck (well-formed array, one span per evaluated point; the
-# example grid has 30). CI runs this non-blocking, like bench-smoke.
+# cmd/tracecheck (well-formed array, one span per evaluated (cache
+# size, line size) geometry; the example grid's 30 designs share 15).
+# The span count is deterministic, so CI blocks on this.
 trace-smoke:
 	mkdir -p out
 	$(GO) run ./cmd/sweep -example > out/trace-smoke-space.json
 	$(GO) run ./cmd/sweep -config out/trace-smoke-space.json -o out/trace-smoke.csv -trace out/trace-smoke.json
-	$(GO) run ./cmd/tracecheck -min 30 out/trace-smoke.json
+	$(GO) run ./cmd/tracecheck -min 15 out/trace-smoke.json
 
 # Boot tradeoffd, drive traffic, dump the always-on flight recorder
 # and validate the B/E trace_event JSON with cmd/tracecheck.
@@ -116,5 +118,7 @@ examples:
 	$(GO) run ./examples/designspace
 	$(GO) run ./examples/hierarchy
 
+# Remove the smoke-run outputs (see .gitignore); the paper artifacts
+# committed in out/ stay.
 clean:
-	rm -rf out
+	rm -f out/tradeoffd out/tracecheck out/obs-smoke-* out/trace-smoke*

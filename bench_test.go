@@ -217,9 +217,11 @@ func BenchmarkSweepParallel(b *testing.B) { benchSweepEngine(b, 0) }
 
 // benchSweep64 sweeps the 64-point grid (8 cache sizes × 4 line sizes
 // × 2 bus widths) under the given hit source. The Sim/MRC pair measures
-// the tentpole claim of internal/mrc: re-simulation pays one trace pass
-// per design point, the miss-ratio-curve sources pay one pass per line
-// size (4 here) and answer the remaining 60 points from the curves.
+// the tentpole claim of internal/mrc: re-simulation replays one trace
+// through a cache per (cache size, line size) geometry (32 here, since
+// bus width leaves the hit ratio unchanged), the miss-ratio-curve
+// sources pay one pass per line size (4 here) and answer the remaining
+// 60 points from the curves.
 // The analytic source ("an:ear") pays no trace passes at all — every
 // point is priced from internal/model's closed forms.
 // Each iteration uses a fresh curve cache (sweep.Run owns one per

@@ -59,7 +59,8 @@ type Result struct {
 
 // sweep64 is the 64-point grid bench_test.go's sweep benchmarks use:
 // 8 cache sizes × 4 line sizes × 2 bus widths, where re-simulation
-// pays 64 trace passes and the MRC sources pay 4.
+// generates one trace and replays it through 32 caches (one per cache
+// size × line size) and the MRC sources pay 4 passes.
 func sweep64(source string) sweep.Config {
 	return sweep.Config{
 		CacheKB:   []int{1, 2, 4, 8, 16, 32, 64, 128},

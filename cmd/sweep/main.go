@@ -23,9 +23,11 @@
 // backs the tradeoffd HTTP service.
 //
 // -trace writes a Chrome trace_event JSON profile of the run (one
-// "sweep_point" span per evaluated design, laned by worker slot, plus
-// one "mrc_pass" span per trace pass under the mrc sources) — load it
-// at chrome://tracing or https://ui.perfetto.dev.
+// "sweep_point" span per evaluated (cache size, line size) geometry —
+// bus width does not change a hit ratio, so each geometry is evaluated
+// once and priced at every bus width — laned by worker slot, plus one
+// "mrc_pass" span per trace pass under the mrc sources) — load it at
+// chrome://tracing or https://ui.perfetto.dev.
 package main
 
 import (

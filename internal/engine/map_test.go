@@ -51,7 +51,10 @@ func TestMapEmpty(t *testing.T) {
 }
 
 // TestMapFirstErrorWins checks a failing item cancels the pool, the
-// failure's error is returned, and not every item runs.
+// failure's error is returned, and not every item runs. Items after
+// the failing one hold their worker until the pool is cancelled, so
+// the outcome does not depend on how the scheduler interleaves the
+// failing worker with the others.
 func TestMapFirstErrorWins(t *testing.T) {
 	boom := errors.New("boom")
 	items := make([]int, 1000)
@@ -61,8 +64,11 @@ func TestMapFirstErrorWins(t *testing.T) {
 	var ran atomic.Int64
 	_, err := Map(context.Background(), items, 4, func(ctx context.Context, v int) (int, error) {
 		ran.Add(1)
-		if v == 3 {
+		switch {
+		case v == 3:
 			return 0, fmt.Errorf("item %d: %w", v, boom)
+		case v > 3:
+			<-ctx.Done()
 		}
 		return v, nil
 	})

@@ -18,7 +18,7 @@ type SpanRecord struct {
 	Start time.Time
 	Dur   time.Duration
 	TID   int
-	Args  map[string]any
+	Args  Args
 }
 
 // End returns the span's completion time.
@@ -167,8 +167,8 @@ func WriteFlight(w io.Writer, recs []SpanRecord, epoch time.Time) error {
 			lane = len(lanes) - 1
 		}
 		args := make(map[string]any, len(rec.Args)+1)
-		for k, v := range rec.Args {
-			args[k] = v
+		for _, arg := range rec.Args {
+			args[arg.Key] = arg.Value
 		}
 		args["lane"] = rec.TID
 		perLane[lane] = append(perLane[lane], flightEvent{

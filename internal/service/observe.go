@@ -233,7 +233,7 @@ func (s *Server) sloDoc(now time.Time) []byte {
 // follows the configured SLO list, so fixed state renders fixed bytes
 // (pinned by a golden test).
 func (s *Server) writeSLOProm(buf *bytes.Buffer) {
-	sts := s.sloStatuses(time.Now())
+	sts := s.sloStatuses(s.now())
 	promSLOGauges(buf, sts)
 }
 
@@ -297,7 +297,7 @@ func (s *Server) RunHistory(ctx context.Context) {
 	t := time.NewTicker(s.history.Interval())
 	defer t.Stop()
 	for {
-		s.obsTick(time.Now())
+		s.obsTick(s.now())
 		select {
 		case <-ctx.Done():
 			return
@@ -352,7 +352,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	// A failed write means the client left mid-dump.
-	_ = obs.WriteFlight(w, s.ring.Snapshot(time.Now().Add(-last)), s.epoch)
+	_ = obs.WriteFlight(w, s.ring.Snapshot(s.now().Add(-last)), s.epoch)
 }
 
 // slowResponse is the GET /debug/slow JSON shape.
@@ -410,7 +410,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad window %q (want a positive duration like 5m)", q))
 			return
 		}
-		since = time.Now().Add(-d)
+		since = s.now().Add(-d)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = s.history.WriteJSON(w, names, since) // a failed write means the client left

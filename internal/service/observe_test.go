@@ -125,6 +125,8 @@ func TestSLOLayerLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Options{SLOs: slos, HistoryInterval: 10 * time.Second, HistoryWindow: time.Hour})
+	now := obsBase.Add(20 * time.Second)
+	s.now = func() time.Time { return now }
 	// 100 requests, 10 errors (10× the 1% budget), p99 ~16ms (16× the
 	// 1ms target) on /v1/tradeoff.
 	ep := s.metrics.endpointVars("/v1/tradeoff")
@@ -136,9 +138,8 @@ func TestSLOLayerLive(t *testing.T) {
 	ep.Get("requests").(*expvar.Int).Add(100)
 	ep.Get("errors").(*expvar.Int).Add(10)
 	s.history.Tick(obsBase.Add(10 * time.Second))
-	s.history.Tick(obsBase.Add(20 * time.Second))
+	s.history.Tick(now)
 
-	now := obsBase.Add(20 * time.Second)
 	sts := s.sloStatuses(now)
 	if len(sts) != 1 || sts[0].Endpoint != "/v1/tradeoff" {
 		t.Fatalf("statuses = %+v", sts)

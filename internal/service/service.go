@@ -140,8 +140,9 @@ type Server struct {
 	models  *model.Cache
 
 	// Observability tier 2 (flight recorder, metrics history, SLOs).
-	epoch     time.Time     // flight-dump timestamp origin
-	ring      *obs.SpanRing // nil when the recorder is disabled
+	now       func() time.Time // the clock history ticks, SLO burns and dump windows read
+	epoch     time.Time        // flight-dump timestamp origin
+	ring      *obs.SpanRing    // nil when the recorder is disabled
 	exemplars *obs.Exemplars
 	history   *obs.History
 }
@@ -190,6 +191,7 @@ func New(opts Options) *Server {
 		// Analytic model curves are tiny (knot tables); the cache mostly
 		// saves the µs-scale rebuild per (workload, line size).
 		models: model.NewCache(64, 16<<20),
+		now:    time.Now,
 	}
 	s.metrics.cacheBytes = s.cache.Bytes
 	s.metrics.engine = s.stats
@@ -218,7 +220,7 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("/debug/dash", s.handleDash)
 	s.registerSeries()
 	if len(opts.SLOs) > 0 {
-		s.metrics.sloJSON = func() []byte { return s.sloDoc(time.Now()) }
+		s.metrics.sloJSON = func() []byte { return s.sloDoc(s.now()) }
 		s.metrics.sloProm = s.writeSLOProm
 	}
 	if opts.Pprof {

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"tradeoff/internal/cache"
 	"tradeoff/internal/engine"
@@ -52,7 +53,7 @@ func (s TraceSpec) key() string {
 	return fmt.Sprintf("%s|%d|%d", s.Program, s.Seed, s.Refs)
 }
 
-// TraceCache memoizes materialized traces by spec on an unbounded
+// TraceCache memoizes materialized traces by spec on a byte-bounded
 // engine.Memo; its singleflight makes concurrent first requests for
 // the same spec generate it exactly once. The cached slices are shared
 // read-only across every replay that uses them; callers must not
@@ -62,9 +63,23 @@ type TraceCache struct {
 	generated atomic.Int64
 }
 
+// traceCacheBytes bounds the references a TraceCache keeps resident.
+// Specs come from request payloads (a fresh seed is a fresh trace), so
+// without a bound every seed ever asked for would stay pinned; 256 MiB
+// holds any realistic working set (a 24-trace stall grid of 10k
+// references is under 6 MiB) and evicts least recently used traces
+// beyond it.
+const traceCacheBytes = 256 << 20
+
 // NewTraceCache returns an empty trace cache.
-func NewTraceCache() *TraceCache {
-	return &TraceCache{memo: engine.NewMemo[[]trace.Ref](0, 0, nil)}
+func NewTraceCache() *TraceCache { return newTraceCache(traceCacheBytes) }
+
+// newTraceCache returns an empty trace cache holding at most maxBytes
+// of references.
+func newTraceCache(maxBytes int64) *TraceCache {
+	return &TraceCache{memo: engine.NewMemo(0, maxBytes, func(refs []trace.Ref) int64 {
+		return int64(len(refs)) * int64(unsafe.Sizeof(trace.Ref{}))
+	})}
 }
 
 // Get returns the memoized trace for spec, materializing it on first

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"tradeoff/internal/cache"
 	"tradeoff/internal/model"
@@ -110,6 +111,46 @@ func TestTraceMemoized(t *testing.T) {
 	}
 	if got := r.Traces().Generated(); got != 2 {
 		t.Fatalf("second grid re-materialized traces: generated = %d, want 2", got)
+	}
+}
+
+// TestTraceCacheBoundedByBytes pins the trace cache's byte budget:
+// specs that fit stay resident and are generated exactly once, and a
+// spec past the budget evicts the least recently used trace, which is
+// regenerated on its next use.
+func TestTraceCacheBoundedByBytes(t *testing.T) {
+	const refs = 1_000
+	spec := func(seed uint64) TraceSpec { return TraceSpec{Program: "nasa7", Seed: seed, Refs: refs} }
+	tc := newTraceCache(2 * refs * int64(unsafe.Sizeof(trace.Ref{}))) // room for two traces
+	generated := func(specs ...TraceSpec) int64 {
+		t.Helper()
+		for _, s := range specs {
+			got, err := tc.Get(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != refs {
+				t.Fatalf("%+v: %d refs, want %d", s, len(got), refs)
+			}
+		}
+		return tc.Generated()
+	}
+	if n := generated(spec(1), spec(2), spec(1), spec(2)); n != 2 {
+		t.Fatalf("two in-budget specs generated %d times, want 2", n)
+	}
+	// Seed 3 evicts seed 1, the least recently used; seed 2 stays.
+	if n := generated(spec(3), spec(2)); n != 3 {
+		t.Fatalf("after a third spec: generated = %d, want 3", n)
+	}
+	if n := generated(spec(1)); n != 4 {
+		t.Fatalf("evicted spec was not regenerated: generated = %d, want 4", n)
+	}
+
+	// The default budget holds a stall grid's resident traces with room
+	// to spare: repeated use of one spec never regenerates it.
+	tc = NewTraceCache()
+	if n := generated(spec(1), spec(2), spec(1), spec(2)); n != 2 {
+		t.Fatalf("default cache generated %d traces for two specs, want 2", n)
 	}
 }
 

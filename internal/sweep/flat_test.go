@@ -1,0 +1,115 @@
+package sweep
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"strings"
+	"testing"
+
+	"tradeoff/internal/cache"
+	"tradeoff/internal/obs"
+	"tradeoff/internal/trace"
+)
+
+// TestSimSweepMatchesPerPointSimulation is the oracle for flat "sim:"
+// sweeps, which evaluate each (size, line) geometry once over one
+// shared trace. The reference is the per-point evaluation this
+// replaced: a fresh workload generator and a fresh cache for every
+// (size, line, bus) design. Every design's hit ratio must equal it
+// exactly, for any workload, seed, bus width and pool size.
+func TestSimSweepMatchesPerPointSimulation(t *testing.T) {
+	for _, source := range []string{"sim:ear", "sim:zipf"} {
+		for _, seed := range []uint64{7, 1994} {
+			cfg := Config{
+				CacheKB: []int{1, 4, 16}, LineBytes: []int{16, 32, 64}, BusBits: []int{32, 64, 128},
+				LatencyNS: 360, TransferNS: 60, CPUNS: 30,
+				HitSource: source, SimRefs: 5_000, Seed: seed,
+			}
+			for _, workers := range []int{1, 8} {
+				ds, err := Run(context.Background(), cfg, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// 3 sizes × (3 lines × 3 buses − the 16B line on the
+				// 128-bit bus, shorter than two transfers).
+				if len(ds) != 24 {
+					t.Fatalf("%s seed %d: %d designs, want 24", source, seed, len(ds))
+				}
+				for _, d := range ds {
+					src, err := trace.NewWorkload(strings.TrimPrefix(source, "sim:"), seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := cache.New(cache.Config{Size: d.CacheKB << 10, LineSize: d.LineBytes, Assoc: 2})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := cache.MeasureSource(c, src, cfg.SimRefs).HitRatio; d.HitRatio != want {
+						t.Errorf("%s seed %d workers %d: %dKB/%dB/%d-bit hit ratio %v, per-point simulation %v",
+							source, seed, workers, d.CacheKB, d.LineBytes, d.BusBits, d.HitRatio, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFlatSweepSpansPerGeometry pins the flat evaluation's shape in a
+// trace export: exactly one sweep_point span per distinct (cache_kb,
+// line) geometry that has a design, carrying both as args, however
+// many bus widths price it.
+func TestFlatSweepSpansPerGeometry(t *testing.T) {
+	tracer := obs.NewTracer()
+	ctx := obs.WithTracer(context.Background(), tracer)
+	// The 4B line fits no bus (L < 2D everywhere), so its geometries
+	// have no designs and must not be evaluated.
+	cfg := Config{
+		CacheKB: []int{2, 8}, LineBytes: []int{4, 16, 64}, BusBits: []int{32, 64, 128},
+		LatencyNS: 360, TransferNS: 60, CPUNS: 30,
+		HitSource: "sim:zipf", SimRefs: 2_000,
+	}
+	ds, err := Run(ctx, cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[[2]int]bool{}
+	for _, d := range ds {
+		want[[2]int{d.CacheKB, d.LineBytes}] = true
+	}
+	if len(ds) != 10 || len(want) != 4 {
+		t.Fatalf("%d designs over %d geometries, want 10 over 4", len(ds), len(want))
+	}
+
+	var buf bytes.Buffer
+	if err := tracer.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string         `json:"name"`
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[[2]int]int{}
+	for _, ev := range events {
+		if ev.Name != "sweep_point" {
+			continue
+		}
+		kb, okKB := ev.Args["cache_kb"].(float64)
+		line, okLine := ev.Args["line"].(float64)
+		if !okKB || !okLine {
+			t.Fatalf("sweep_point args %v lack cache_kb and line", ev.Args)
+		}
+		seen[[2]int{int(kb), int(line)}]++
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("sweep_point spans cover %d geometries %v, want %d %v", len(seen), seen, len(want), want)
+	}
+	for g, n := range seen {
+		if !want[g] || n != 1 {
+			t.Errorf("geometry %dKB/%dB: %d sweep_point spans, want exactly 1 for a priced geometry", g[0], g[1], n)
+		}
+	}
+}

@@ -179,7 +179,10 @@ func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches
 		if len(p.levels) > 0 {
 			d, err = evaluateHierarchy(ctx, cfg.Config, caches, hit, source, p)
 		} else {
-			d, err = evaluate(ctx, cfg.Config, hit, source, p)
+			var hr float64
+			if hr, err = hit(ctx, p.cacheKB<<10, p.line); err == nil {
+				d, err = evaluate(cfg.Config, hr, source, p)
+			}
 		}
 		if err != nil {
 			return Design{}, err

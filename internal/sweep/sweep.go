@@ -6,6 +6,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"sync"
 
 	"tradeoff/internal/area"
 	"tradeoff/internal/cache"
@@ -122,21 +123,63 @@ func RunCaches(ctx context.Context, cfg Config, workers int, caches Caches) ([]D
 	}
 
 	ctx = obs.WithSpanName(ctx, "sweep_point")
-	out, err := engine.Map(ctx, points, workers, func(ctx context.Context, p point) (Design, error) {
-		if s := obs.CurrentSpan(ctx); s != nil {
-			s.SetArg("cache_kb", p.cacheKB)
-			s.SetArg("line", p.line)
-			s.SetArg("bus_bits", p.busBits)
-		}
-		if len(p.levels) > 0 {
+	var out []Design
+	if len(cfg.Levels) > 0 {
+		out, err = engine.Map(ctx, points, workers, func(ctx context.Context, p point) (Design, error) {
+			if s := obs.CurrentSpan(ctx); s != nil {
+				s.SetArg("cache_kb", p.cacheKB)
+				s.SetArg("line", p.line)
+				s.SetArg("bus_bits", p.busBits)
+			}
 			return evaluateHierarchy(ctx, cfg, caches, hit, source, p)
-		}
-		return evaluate(ctx, cfg, hit, source, p)
-	})
+		})
+	} else {
+		out, err = runFlat(ctx, cfg, workers, hit, source, points)
+	}
 	if err != nil {
 		return nil, err
 	}
 	MarkPareto(out)
+	return out, nil
+}
+
+// geometry is a flat design's cache shape. Bus width D enters only the
+// delay side of the tradeoff (Eqs. 2–7), so every design sharing a
+// geometry shares its hit ratio.
+type geometry struct {
+	cacheKB, line int
+}
+
+// runFlat evaluates a flat sweep in two steps: the pool prices each
+// distinct (size, line) geometry's hit ratio once — one sweep_point
+// span per geometry — and a plain loop then prices every (size, line,
+// bus) design from its geometry's ratio, in enumeration order.
+func runFlat(ctx context.Context, cfg Config, workers int, hit hitRatioFunc, source string, points []point) ([]Design, error) {
+	index := make(map[geometry]int)
+	var geoms []geometry
+	for _, p := range points {
+		g := geometry{p.cacheKB, p.line}
+		if _, ok := index[g]; !ok {
+			index[g] = len(geoms)
+			geoms = append(geoms, g)
+		}
+	}
+	ratios, err := engine.Map(ctx, geoms, workers, func(ctx context.Context, g geometry) (float64, error) {
+		if s := obs.CurrentSpan(ctx); s != nil {
+			s.SetArg("cache_kb", g.cacheKB)
+			s.SetArg("line", g.line)
+		}
+		return hit(ctx, g.cacheKB<<10, g.line)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Design, len(points))
+	for i, p := range points {
+		if out[i], err = evaluate(cfg, ratios[index[geometry{p.cacheKB, p.line}]], source, p); err != nil {
+			return nil, err
+		}
+	}
 	return out, nil
 }
 
@@ -191,14 +234,10 @@ func extendLevels(points []point, cfg Config, p point, depth int) []point {
 	return points
 }
 
-// evaluate prices one design point: hit ratio from the configured
-// source, Eq. (2)-style mean delay per reference, rbe area and pins.
-func evaluate(ctx context.Context, cfg Config, hit hitRatioFunc, source string, p point) (Design, error) {
+// evaluate prices one flat design point from its hit ratio hr:
+// Eq. (2)-style mean delay per reference, rbe area and pins.
+func evaluate(cfg Config, hr float64, source string, p point) (Design, error) {
 	d := p.busBits / 8
-	hr, err := hit(ctx, p.cacheKB<<10, p.line)
-	if err != nil {
-		return Design{}, err
-	}
 	c := 1 + cfg.LatencyNS/cfg.CPUNS
 	beta := cfg.TransferNS / cfg.CPUNS
 	delay := core.MeanDelayPerRef(hr, c, beta, float64(p.line), float64(d))
@@ -393,7 +432,8 @@ func mrcSource(hitSource string) (name string, sampled, ok bool) {
 // closed-form analytic curve ("an:<name>", internal/model), cache
 // simulation of a named workload ("sim:<name>"), or a single-pass
 // miss-ratio curve ("mrc:<name>" exact, "mrc~:<name>" SHARDS-sampled).
-// Simulated sources build a private trace and cache per call; curve
+// Simulated sources materialize the trace once, on first use, and
+// replay that read-only slice through a fresh cache per call; curve
 // sources share one memoized curve per (workload, line size) through
 // caches. Either way the returned function is safe for concurrent use
 // by the pool.
@@ -444,8 +484,15 @@ func hitFunc(cfg Config, caches Caches) (hitRatioFunc, string, error) {
 		}, source, nil
 	}
 	name := strings.TrimPrefix(source, "sim:")
-	return func(_ context.Context, size, line int) (float64, error) {
+	refs := sync.OnceValues(func() ([]trace.Ref, error) {
 		src, err := trace.NewWorkload(name, cfg.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return trace.Collect(src, cfg.SimRefs), nil
+	})
+	return func(_ context.Context, size, line int) (float64, error) {
+		trc, err := refs()
 		if err != nil {
 			return 0, err
 		}
@@ -453,7 +500,7 @@ func hitFunc(cfg Config, caches Caches) (hitRatioFunc, string, error) {
 		if err != nil {
 			return 0, err
 		}
-		return cache.MeasureSource(c, src, cfg.SimRefs).HitRatio, nil
+		return cache.Measure(c, trc).HitRatio, nil
 	}, source, nil
 }
 
