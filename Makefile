@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test test-short race bench bench-smoke bench-stall bench-mrc bench-record trace-smoke flight-smoke obs-smoke figures figures-fast report examples serve clean
+.PHONY: all build vet lint lint-fast test test-short race bench bench-smoke bench-mrc bench-record trace-smoke flight-smoke obs-smoke figures figures-fast report examples serve clean
 
 all: build lint test race
 
@@ -14,12 +14,11 @@ vet:
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 
 # Full static analysis: go vet + gofmt (the vet target) plus the
-# repo's own nine-analyzer tradeoffvet suite (parameter domains, float
-# discipline, context propagation, error handling, metric hygiene,
-# span lifecycle, locking discipline, deterministic output order,
-# hot-path allocation budgets).
-lint: vet
-	$(GO) run ./cmd/tradeoffvet ./...
+# repo's own nine-analyzer tradeoffvet suite (lint-fast: parameter
+# domains, float discipline, context propagation, error handling,
+# metric hygiene, span lifecycle, locking discipline, deterministic
+# output order, hot-path allocation budgets).
+lint: vet lint-fast
 
 # Just the tradeoffvet suite — skips go vet and gofmt for a fast
 # inner-loop check while iterating on analyzer findings.
@@ -56,10 +55,6 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkTradeoffHandlerCached' -benchtime=1x .
 	$(GO) test -run=NONE -bench='BenchmarkStallSweep' -benchtime=1x ./internal/simjob
 	$(GO) test -run=NONE -bench='BenchmarkSweepSim$$|BenchmarkSweepMRC' -benchtime=1x .
-
-# Back-compat alias for the stall-sweep half of bench-smoke.
-bench-stall:
-	$(GO) test -run=NONE -bench='BenchmarkStallSweep' -benchtime=1x ./internal/simjob
 
 # Race the 64-point sweep grid under re-simulation ("sim:ear", one
 # generated trace replayed through one cache per (cache size, line

@@ -294,32 +294,6 @@ func log2(v uint64) uint64 {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Clone returns a deep copy of the cache: geometry, line contents,
-// replacement state and statistics. Accesses to the clone never touch
-// the original, so one warmed cache can seed many concurrent replays.
-func (c *Cache) Clone() *Cache {
-	sets := len(c.sets)
-	assoc := 0
-	if sets > 0 {
-		assoc = len(c.sets[0])
-	}
-	n := &Cache{
-		cfg:    c.cfg,
-		sets:   make([][]line, sets),
-		setLo:  c.setLo,
-		lineLo: c.lineLo,
-		clock:  c.clock,
-		rng:    c.rng,
-		stats:  c.stats,
-	}
-	backing := make([]line, sets*assoc)
-	for i := range n.sets {
-		copy(backing[i*assoc:(i+1)*assoc], c.sets[i])
-		n.sets[i] = backing[i*assoc : (i+1)*assoc : (i+1)*assoc]
-	}
-	return n
-}
-
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

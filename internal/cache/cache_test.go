@@ -611,38 +611,3 @@ func TestPrefetchPollutionOnRandomWorkload(t *testing.T) {
 		t.Fatalf("prefetch accuracy %.2f on a random workload — generator locality too strong", accuracy)
 	}
 }
-
-func TestCloneIsIndependent(t *testing.T) {
-	c := MustNew(Config{Size: 4 << 10, LineSize: 32, Assoc: 2})
-	for i := 0; i < 500; i++ {
-		c.Access(uint64(i)*64, i%3 == 0)
-	}
-	before := c.Stats()
-	cl := c.Clone()
-	if cl.Stats() != before {
-		t.Fatalf("clone stats %+v, want %+v", cl.Stats(), before)
-	}
-	if cl.ValidLines() != c.ValidLines() {
-		t.Fatalf("clone holds %d lines, original %d", cl.ValidLines(), c.ValidLines())
-	}
-	// Mutating the clone must not leak into the original (shared
-	// backing array would).
-	for i := 0; i < 500; i++ {
-		cl.Access(uint64(i)*64+1<<20, true)
-	}
-	if c.Stats() != before {
-		t.Fatalf("original stats changed after clone accesses: %+v", c.Stats())
-	}
-	if c.Contains(1 << 20) {
-		t.Fatal("clone fill leaked a line into the original")
-	}
-	// And the clone replays identically to the original from here on.
-	a, b := c.Clone(), c.Clone()
-	for i := 0; i < 200; i++ {
-		oa := a.Access(uint64(i)*96, i%2 == 0)
-		ob := b.Access(uint64(i)*96, i%2 == 0)
-		if oa != ob {
-			t.Fatalf("clones diverged at access %d: %+v vs %+v", i, oa, ob)
-		}
-	}
-}

@@ -60,9 +60,10 @@ func Figure1(o Options) ([]Artifact, error) {
 	programs := trace.Programs()
 
 	// One flat job list — feature outermost, βm, program innermost —
-	// so every (feature, βm, program) replay of the figure runs
-	// concurrently on the shared pool instead of serially per curve
-	// point. Slot-indexed results come back in exactly this order.
+	// in one Run, so the figure simulates each program's cache once and
+	// replays every (feature, βm) timing from it concurrently on the
+	// shared pool instead of serially per curve point. Slot-indexed
+	// results come back in exactly this order.
 	jobs := make([]simjob.Job, 0, len(features)*len(betas)*len(programs))
 	for _, f := range features {
 		for _, b := range betas {

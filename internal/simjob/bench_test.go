@@ -36,3 +36,18 @@ func BenchmarkStallSweepParallel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStallSweepOneGeometry is benchGrid on one program: a single
+// (trace, geometry) whose twelve replays must still spread over every
+// worker.
+func BenchmarkStallSweepOneGeometry(b *testing.B) {
+	g := benchGrid()
+	g.Programs = []string{"nasa7"}
+	r := NewRunner()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.RunGrid(context.Background(), g, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,13 +3,17 @@
 // engine in internal/sweep.
 //
 // A Runner materializes each named workload trace once into a shared
-// read-only []trace.Ref (memoized by (program, seed, refs)), fans
-// (feature × cache × memory × write-buffer) design points out across
-// the shared engine.Map pool, and returns results in enumeration
-// order, so parallel output is byte-identical to a serial replay.
-// Optionally it keeps one warmed cache per (trace, geometry) and
-// clones it per measurement, so cold-start misses are paid once
-// instead of per design point.
+// read-only []trace.Ref (memoized by (program, seed, refs)) and groups
+// the (feature × cache × memory × write-buffer) design points of a Run
+// by (trace, cache geometry). Which references hit, fill or flush
+// depends only on the trace and the cache, so each group runs its
+// cache over the trace once (stall.Simulate) and replays only the
+// timing per design point (stall.Replay). The groups fan out across
+// the shared engine.Map pool, each group's replays fan out again over
+// a pool of their own, and results come back in job order, so
+// parallel output is byte-identical to a serial replay. With
+// Options.Warm a group first warms its own cache with one pass over
+// the trace, so cold-start misses are excluded from every point.
 //
 // The consumers are cmd/figures and cmd/cachesim (via their -workers
 // flags) and the tradeoffd service's POST /v1/stall endpoint.
@@ -105,24 +109,26 @@ type Job struct {
 
 // Options tunes a Run.
 type Options struct {
-	// Workers bounds the pool; <= 0 selects runtime.NumCPU().
+	// Workers bounds the group pool and, within each group, the
+	// replay pool; <= 0 selects runtime.NumCPU(). At most Workers
+	// groups, and so at most Workers cache passes' outcomes, are live
+	// at once.
 	Workers int
 
-	// Warm replays each trace once through a fresh cache per distinct
-	// (trace, cache geometry), memoizes that warmed state, and clones
-	// it for every measurement sharing the geometry. Results then
-	// exclude cold-start misses, so they differ from (but are exactly
-	// as deterministic as) the default cold replay.
+	// Warm streams each trace once through its group's fresh cache and
+	// resets the statistics before the measured pass, so results
+	// exclude cold-start misses. They differ from (but are exactly as
+	// deterministic as) the default cold replay. The warmed cache lives
+	// only as long as its group's measurement.
 	Warm bool
 }
 
-// Runner owns the shared memoization state — materialized traces and
-// warmed caches — across any number of Run calls. A single Runner is
-// safe for concurrent use; the tradeoffd service holds one for its
-// whole lifetime so traces survive across requests.
+// Runner owns the state shared across any number of Run calls:
+// materialized traces and analytic curves. A single Runner is safe for
+// concurrent use; the tradeoffd service holds one for its whole
+// lifetime so traces survive across requests.
 type Runner struct {
 	traces *TraceCache
-	warm   *engine.Memo[*cache.Cache]
 	models *model.Cache // analytic curves for the grid's model tier
 }
 
@@ -130,7 +136,6 @@ type Runner struct {
 func NewRunner() *Runner {
 	return &Runner{
 		traces: NewTraceCache(),
-		warm:   engine.NewMemo[*cache.Cache](0, 0, nil),
 		models: model.NewCache(64, 16<<20),
 	}
 }
@@ -138,43 +143,69 @@ func NewRunner() *Runner {
 // Traces exposes the runner's trace cache (for metrics and tests).
 func (r *Runner) Traces() *TraceCache { return r.traces }
 
-// warmClone returns a clone of the warmed cache for (spec, geometry),
-// warming it on first use by streaming the trace through a fresh cache
-// and resetting its statistics. Concurrent first requests share one
-// warm-up via the memo's singleflight.
-func (r *Runner) warmClone(ctx context.Context, spec TraceSpec, cc cache.Config, refs []trace.Ref) (*cache.Cache, error) {
-	key := fmt.Sprintf("%s|%+v", spec.key(), cc)
-	c, _, err := r.warm.Do(ctx, key, func(context.Context) (*cache.Cache, error) {
-		c, err := cache.New(cc)
-		if err != nil {
-			return nil, err
+// group is the jobs of one Run that share a trace and a cache
+// configuration, and with them one cache pass; members index the
+// Run's jobs in job order.
+type group struct {
+	trace   TraceSpec
+	cache   cache.Config
+	members []int
+}
+
+// groupJobs partitions jobs by (trace, cache configuration), groups in
+// order of first appearance.
+func groupJobs(jobs []Job) []group {
+	type key struct {
+		trace TraceSpec
+		cache cache.Config
+	}
+	index := make(map[key]int)
+	var groups []group
+	for i, job := range jobs {
+		k := key{job.Trace, job.Cfg.Cache}
+		g, ok := index[k]
+		if !ok {
+			g = len(groups)
+			index[k] = g
+			groups = append(groups, group{trace: job.Trace, cache: job.Cfg.Cache})
 		}
+		groups[g].members = append(groups[g].members, i)
+	}
+	return groups
+}
+
+// measure runs one group: it gets the trace, simulates the group's
+// cache over it once (after a warm-up pass when opts.Warm is set), and
+// replays every member's timing from the shared outcomes, writing each
+// result to the member's slot in out. The replays fan out over a pool
+// of opts.Workers of their own, one sim_replay span each, so a grid of
+// fewer geometries than workers still keeps every worker busy.
+func (r *Runner) measure(ctx context.Context, g group, jobs []Job, out []stall.Result, opts Options) error {
+	refs, err := r.traces.Get(ctx, g.trace)
+	if err != nil {
+		return err
+	}
+	c, err := cache.New(g.cache)
+	if err != nil {
+		return err
+	}
+	if opts.Warm {
 		for _, ref := range refs {
 			c.Access(ref.Addr, ref.Write)
 		}
 		c.ResetStats()
-		return c, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return c.Clone(), nil
-}
-
-// measure replays one job, through a warmed clone when opts.Warm.
-func (r *Runner) measure(ctx context.Context, job Job, opts Options) (stall.Result, error) {
-	refs, err := r.traces.Get(ctx, job.Trace)
-	if err != nil {
-		return stall.Result{}, err
-	}
-	if opts.Warm {
-		c, err := r.warmClone(ctx, job.Trace, job.Cfg.Cache, refs)
-		if err != nil {
-			return stall.Result{}, err
+	outcomes := stall.Simulate(c, refs)
+	ctx = obs.WithSpanName(ctx, "sim_replay")
+	_, err = engine.Map(ctx, g.members, opts.Workers, func(ctx context.Context, i int) (struct{}, error) {
+		if s := obs.CurrentSpan(ctx); s != nil {
+			s.SetArg("feature", jobs[i].Cfg.Feature.String())
 		}
-		return stall.RunWarm(job.Cfg, c, refs)
-	}
-	return stall.Run(job.Cfg, refs)
+		res, err := stall.Replay(jobs[i].Cfg, outcomes, refs)
+		out[i] = res
+		return struct{}{}, err
+	})
+	return err
 }
 
 // MeasureHierarchy replays refs references of the named workload
@@ -204,23 +235,32 @@ func (r *Runner) MeasureHierarchy(ctx context.Context, workload string, seed uin
 	return h.Stats(), nil
 }
 
-// Run measures every job on the shared engine.Map pool and returns
-// results indexed like jobs — deterministic regardless of worker count
-// or completion order. The context cancels in-flight work: a
-// disconnected HTTP client or an interrupted CLI stops the pool early
-// with ctx.Err().
+// Run measures every job on the shared engine.Map pool, one pool item
+// (and one sim_job span) per distinct (trace, cache configuration)
+// whose replays run as one sim_replay item each (see measure), and
+// returns results indexed like jobs — deterministic regardless of
+// worker count or completion order. The context cancels in-flight
+// work: a disconnected HTTP client or an interrupted CLI stops the pool
+// early with ctx.Err().
 func (r *Runner) Run(ctx context.Context, jobs []Job, opts Options) ([]stall.Result, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("simjob: no jobs")
 	}
+	out := make([]stall.Result, len(jobs))
 	ctx = obs.WithSpanName(ctx, "sim_job")
-	return engine.Map(ctx, jobs, opts.Workers, func(ctx context.Context, job Job) (stall.Result, error) {
+	_, err := engine.Map(ctx, groupJobs(jobs), opts.Workers, func(ctx context.Context, g group) (struct{}, error) {
 		if s := obs.CurrentSpan(ctx); s != nil {
-			s.SetArg("program", job.Trace.Program)
-			s.SetArg("feature", job.Cfg.Feature.String())
+			s.SetArg("program", g.trace.Program)
+			s.SetArg("cache_kb", g.cache.Size>>10)
+			s.SetArg("line_bytes", g.cache.LineSize)
+			s.SetArg("configs", len(g.members))
 		}
-		return r.measure(ctx, job, opts)
+		return struct{}{}, r.measure(ctx, g, jobs, out, opts)
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // RunRefs measures one caller-supplied trace under each configuration

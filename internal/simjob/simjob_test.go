@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
 	"unsafe"
 
 	"tradeoff/internal/cache"
+	"tradeoff/internal/memory"
 	"tradeoff/internal/model"
+	"tradeoff/internal/obs"
 	"tradeoff/internal/stall"
 	"tradeoff/internal/sweep"
 	"tradeoff/internal/trace"
@@ -188,6 +191,158 @@ func TestWarmDeterministic(t *testing.T) {
 	}
 }
 
+// TestWarmMatchesHandWarmed pins what warm mode measures: every grid
+// point equals stall.RunWarm from a cache the test warms itself with
+// one pass over the trace, its statistics reset.
+func TestWarmMatchesHandWarmed(t *testing.T) {
+	g := testGrid()
+	g.CacheKB = []int{4, 8}
+	g.Warm = true
+	got, err := NewRunner().RunGrid(context.Background(), g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.SetDefaults()
+	for i, p := range g.Enumerate() {
+		job, err := g.job(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs, err := job.Trace.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cache.MustNew(job.Cfg.Cache)
+		for _, ref := range refs {
+			c.Access(ref.Addr, ref.Write)
+		}
+		c.ResetStats()
+		want, err := stall.RunWarm(job.Cfg, c, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].Point != p || got[i].Result != want {
+			t.Fatalf("point %d: warm grid %+v, hand-warmed RunWarm %+v at %+v", i, got[i], want, p)
+		}
+	}
+}
+
+// groupedJobs returns stall jobs over 2 programs × 2 cache geometries
+// × 2 features × 2 βm, interleaved so that no two consecutive jobs
+// share a (trace, geometry): grouping must not rely on contiguity.
+func groupedJobs() []Job {
+	var jobs []Job
+	for _, betaM := range []int64{4, 10} {
+		for _, f := range []stall.Feature{stall.BL, stall.NB} {
+			for _, kb := range []int{4, 16} {
+				for _, prog := range []string{"nasa7", "ear"} {
+					jobs = append(jobs, Job{
+						Trace: TraceSpec{Program: prog, Seed: 3, Refs: 3_000},
+						Cfg: stall.Config{
+							Cache:   cache.Config{Size: kb << 10, LineSize: 32, Assoc: 2},
+							Memory:  memory.Config{BetaM: betaM, BusWidth: 4},
+							Feature: f,
+							MSHRs:   2,
+						},
+					})
+				}
+			}
+		}
+	}
+	return jobs
+}
+
+// TestRunGroupsMatchPerJob checks grouped measurement against one
+// stall.Run per job, in job order, for a serial and a wide pool.
+func TestRunGroupsMatchPerJob(t *testing.T) {
+	jobs := groupedJobs()
+	want := make([]stall.Result, len(jobs))
+	for i, job := range jobs {
+		refs, err := job.Trace.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = stall.Run(job.Cfg, refs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		got, err := NewRunner().Run(context.Background(), jobs, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: grouped results differ from per-job stall.Run", workers)
+		}
+	}
+}
+
+// spanArgs returns the args of every span named name in the tracer's
+// export.
+func spanArgs(t *testing.T, tracer *obs.Tracer, name string) []map[string]any {
+	t.Helper()
+	var events []struct {
+		Name string         `json:"name"`
+		Args map[string]any `json:"args"`
+	}
+	if err := json.Unmarshal(tracer.JSON(), &events); err != nil {
+		t.Fatal(err)
+	}
+	var out []map[string]any
+	for _, ev := range events {
+		if ev.Name == name {
+			out = append(out, ev.Args)
+		}
+	}
+	return out
+}
+
+// TestRunSpanPerGeometry pins a traced Run's shape: exactly one
+// sim_job span per distinct (trace, geometry), naming the program,
+// geometry and how many configurations replayed its one cache pass,
+// and one sim_replay span per job, naming its feature.
+func TestRunSpanPerGeometry(t *testing.T) {
+	tracer := obs.NewTracer()
+	ctx := obs.WithTracer(context.Background(), tracer)
+	if _, err := NewRunner().Run(ctx, groupedJobs(), Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	type geometry struct {
+		program       string
+		cacheKB, line float64
+	}
+	seen := map[geometry]float64{}
+	for _, args := range spanArgs(t, tracer, "sim_job") {
+		prog, _ := args["program"].(string)
+		kb, _ := args["cache_kb"].(float64)
+		line, _ := args["line_bytes"].(float64)
+		configs, ok := args["configs"].(float64)
+		if !ok {
+			t.Fatalf("sim_job args %v lack configs", args)
+		}
+		g := geometry{prog, kb, line}
+		if _, dup := seen[g]; dup {
+			t.Fatalf("two sim_job spans for %+v", g)
+		}
+		seen[g] = configs
+	}
+	want := map[geometry]float64{
+		{"nasa7", 4, 32}: 4, {"nasa7", 16, 32}: 4,
+		{"ear", 4, 32}: 4, {"ear", 16, 32}: 4,
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Fatalf("sim_job spans %v, want %v", seen, want)
+	}
+	replays := map[string]int{}
+	for _, args := range spanArgs(t, tracer, "sim_replay") {
+		f, _ := args["feature"].(string)
+		replays[f]++
+	}
+	if want := map[string]int{"BL": 8, "NB": 8}; !reflect.DeepEqual(replays, want) {
+		t.Fatalf("sim_replay spans per feature %v, want %v", replays, want)
+	}
+}
+
 // TestRunCancellation checks a cancelled context stops the pool and
 // surfaces the context error.
 func TestRunCancellation(t *testing.T) {
@@ -228,9 +383,21 @@ func TestRunRefsMatchesDirect(t *testing.T) {
 		}
 		cfgs = append(cfgs, job.Cfg)
 	}
-	got, err := RunRefs(context.Background(), refs, cfgs, 4)
+	tracer := obs.NewTracer()
+	got, err := RunRefs(obs.WithTracer(context.Background(), tracer), refs, cfgs, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The caller-supplied path stays per configuration: one sim_feature
+	// span per feature.
+	var features []string
+	for _, args := range spanArgs(t, tracer, "sim_feature") {
+		f, _ := args["feature"].(string)
+		features = append(features, f)
+	}
+	sort.Strings(features)
+	if want := []string{"BL", "BNL1", "BNL2", "BNL3", "FS", "NB"}; !reflect.DeepEqual(features, want) {
+		t.Fatalf("sim_feature spans for %v, want one each for %v", features, want)
 	}
 	for i, cfg := range cfgs {
 		want, err := stall.Run(cfg, refs)

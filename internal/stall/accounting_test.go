@@ -18,23 +18,24 @@ import (
 // scheduled on a still-busy bus.
 func TestBusWaitNotDoubleCounted(t *testing.T) {
 	mem := memory.MustNew(memory.Config{BetaM: 10, BusWidth: 4})
+	c := cache.MustNew(cache.Config{Size: 8 << 10, LineSize: 32, Assoc: 2})
 	e := engine{
 		cfg: Config{
 			Cache:   cache.Config{Size: 8 << 10, LineSize: 32, Assoc: 2},
 			Memory:  memory.Config{BetaM: 10, BusWidth: 4},
 			Feature: BNL1,
 		},
-		cache: cache.MustNew(cache.Config{Size: 8 << 10, LineSize: 32, Assoc: 2}),
-		mem:   mem,
-		L:     32,
-		D:     4,
+		mem: mem,
+		L:   32,
+		D:   4,
 	}
 	// One instruction executed, bus reserved for 40 more cycles by
 	// earlier traffic: the blocking fill waits 40 cycles for the bus,
 	// then βm = 10 for its critical word.
 	e.cur, e.res.E, e.started, e.busBusyUntil = 1, 1, true, 41
-	out := e.cache.Access(0x1000, false)
-	e.onFill(trace.Ref{Instr: 0, Addr: 0x1000, Size: 4}, out)
+	out := c.Access(0x1000, false)
+	e.onFill(trace.Ref{Instr: 0, Addr: 0x1000, Size: 4}, out.Writeback)
+	e.stats = c.Stats()
 	res := e.result()
 
 	if res.BusWait != 40 {

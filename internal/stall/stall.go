@@ -24,6 +24,13 @@
 // Per the paper's simulation assumptions (§4.2), instructions are
 // single-cycle apart from memory stalls, and the instruction cache is
 // effectively infinite.
+//
+// A replay has two halves. Simulate runs the trace through the cache
+// once and records what each reference did; Replay charges the
+// cycle-level timing from that record. The feature, βm, bus width and
+// write buffers change only when the processor waits, never which
+// references hit, fill or flush, so one Simulate serves every timing
+// configuration of its trace and cache. Run is the two back to back.
 package stall
 
 import (
@@ -152,19 +159,86 @@ func Run(cfg Config, refs []trace.Ref) (Result, error) {
 	return RunWarm(cfg, c, refs)
 }
 
-// RunWarm is Run with a caller-supplied (possibly pre-warmed) cache.
-// The cache configuration must match cfg.Cache in line size.
+// RunWarm is Run with a caller-supplied (possibly pre-warmed) cache:
+// Simulate over c, then Replay. The cache configuration must match
+// cfg.Cache in line size.
 func RunWarm(cfg Config, c *cache.Cache, refs []trace.Ref) (Result, error) {
+	return Replay(cfg, Simulate(c, refs), refs)
+}
+
+// op is one reference's recorded cache outcome. The low two bits say
+// what the access did; opThrough flags a write-through store, which
+// also went to memory on a hit or a fill.
+type op uint8
+
+const (
+	opHit       op = iota // the reference hit
+	opAround              // a write-around store went straight to memory
+	opFill                // a line fill whose victim (if any) was clean
+	opFillDirty           // a line fill that flushed a dirty victim
+	opKind      op = 3    // mask selecting one of the four above
+	opThrough   op = 4    // flag: a write-through store also went to memory
+)
+
+// Outcomes is the cache pass of one trace through one cache: one op
+// per reference and the cache's statistics after the pass. Which
+// references hit, fill or flush depends only on the address stream and
+// the cache, never on the stalling feature, bus width, βm or write
+// buffers, so one Outcomes serves every timing configuration of its
+// cache (see Replay).
+type Outcomes struct {
+	ops      []op
+	lineSize int
+	stats    cache.Stats
+}
+
+// Simulate runs refs through c once and records each reference's
+// outcome: the cache half of a replay. c keeps the resulting state and
+// statistics, as after any other run of accesses.
+//
+//perf:hot
+func Simulate(c *cache.Cache, refs []trace.Ref) Outcomes {
+	ops := make([]op, len(refs))
+	for i, r := range refs {
+		out := c.Access(r.Addr, r.Write)
+		var o op
+		switch {
+		case out.Hit:
+			o = opHit
+		case out.Bypassed:
+			o = opAround
+		case out.Writeback:
+			o = opFillDirty
+		default:
+			o = opFill
+		}
+		if out.Through {
+			o |= opThrough
+		}
+		ops[i] = o
+	}
+	return Outcomes{ops: ops, lineSize: c.Config().LineSize, stats: c.Stats()}
+}
+
+// Replay is the timing half of a replay: it walks refs beside the
+// outcomes Simulate recorded for them and measures the stall
+// decomposition under cfg's feature, memory and write buffers. o must
+// come from a cache with cfg's line size over exactly refs; Misses and
+// Traffic are that cache pass's.
+func Replay(cfg Config, o Outcomes, refs []trace.Ref) (Result, error) {
 	mem, err := memory.New(cfg.Memory)
 	if err != nil {
 		return Result{}, err
 	}
-	if c.Config().LineSize != cfg.Cache.LineSize {
-		return Result{}, fmt.Errorf("stall: cache line size %d != config %d", c.Config().LineSize, cfg.Cache.LineSize)
+	if o.lineSize != cfg.Cache.LineSize {
+		return Result{}, fmt.Errorf("stall: cache line size %d != config %d", o.lineSize, cfg.Cache.LineSize)
+	}
+	if len(o.ops) != len(refs) {
+		return Result{}, fmt.Errorf("stall: %d recorded outcomes for %d references", len(o.ops), len(refs))
 	}
 	e := engine{
 		cfg:   cfg,
-		cache: c,
+		stats: o.stats,
 		mem:   mem,
 		L:     cfg.Cache.LineSize,
 		D:     cfg.Memory.BusWidth,
@@ -172,7 +246,7 @@ func RunWarm(cfg Config, c *cache.Cache, refs []trace.Ref) (Result, error) {
 	if cfg.WriteBufferDepth > 0 {
 		e.buf = wbuf.New(cfg.WriteBufferDepth)
 	}
-	if err := e.replay(refs); err != nil {
+	if err := e.replay(o.ops, refs); err != nil {
 		return Result{}, err
 	}
 	return e.result(), nil
@@ -181,7 +255,7 @@ func RunWarm(cfg Config, c *cache.Cache, refs []trace.Ref) (Result, error) {
 // engine holds the replay state.
 type engine struct {
 	cfg   Config
-	cache *cache.Cache
+	stats cache.Stats // the cache pass's statistics: Misses and Traffic
 	mem   *memory.Model
 	L, D  int
 
@@ -199,11 +273,13 @@ type engine struct {
 	res Result
 }
 
-// replay processes the trace. One iteration per reference: this loop
-// is the simulator's entire runtime.
+// replay processes the trace, refs[i] with its recorded outcome
+// ops[i]. One iteration per reference: this loop is the timing
+// model's entire runtime.
 //
 //perf:hot
-func (e *engine) replay(refs []trace.Ref) error {
+func (e *engine) replay(ops []op, refs []trace.Ref) error {
+	ops = ops[:len(refs)]
 	for i, r := range refs {
 		if e.started && r.Instr <= e.lastInstr {
 			//lint:ignore hotalloc cold path: boxing happens once, on the malformed trace that aborts the replay
@@ -220,16 +296,16 @@ func (e *engine) replay(refs []trace.Ref) error {
 		e.lastInstr = r.Instr
 		e.retire()
 
-		out := e.cache.Access(r.Addr, r.Write)
-		switch {
-		case out.Hit:
+		o := ops[i]
+		switch o & opKind {
+		case opHit:
 			e.onHit(r)
-		case out.Bypassed:
+		case opAround:
 			e.onWriteAround(r)
 		default:
-			e.onFill(r, out)
+			e.onFill(r, o&opKind == opFillDirty)
 		}
-		if out.Through {
+		if o&opThrough != 0 {
 			e.onThrough(r)
 		}
 		e.res.Refs++
@@ -348,8 +424,9 @@ func (e *engine) onThrough(r trace.Ref) {
 	e.res.WriteStall += betaM
 }
 
-// onFill handles a miss that fetches a line.
-func (e *engine) onFill(r trace.Ref, out cache.Outcome) {
+// onFill handles a miss that fetches a line; writeback reports that
+// the fill displaced a dirty victim.
+func (e *engine) onFill(r trace.Ref, writeback bool) {
 	// A new miss while the outstanding-miss capacity is exhausted waits
 	// for the oldest line to arrive completely (all partially-stalling
 	// features; §4.2: "the new miss is stalled until the previous
@@ -362,7 +439,8 @@ func (e *engine) onFill(r trace.Ref, out cache.Outcome) {
 
 	// Read-after-write conflict: the line being fetched must not be
 	// sitting in the write buffer (stale memory copy).
-	e.drainConflicts(out.FillLine)
+	line := r.Line(e.L)
+	e.drainConflicts(line)
 
 	fillStart := e.cur
 	if e.busBusyUntil > fillStart {
@@ -383,7 +461,7 @@ func (e *engine) onFill(r trace.Ref, out cache.Outcome) {
 	}
 
 	critical := int(r.Addr%uint64(e.L)) / e.D
-	fill := e.mem.NewFill(fillStart, out.FillLine, e.L, critical)
+	fill := e.mem.NewFill(fillStart, line, e.L, critical)
 	e.fills = append(e.fills, fill)
 	e.busBusyUntil = fill.Complete()
 
@@ -404,10 +482,10 @@ func (e *engine) onFill(r trace.Ref, out cache.Outcome) {
 	// write-around term above, so flush traffic does not perturb the
 	// fill-stall (φ) measurement. With buffers it drains in bus idle
 	// time and is hidden unless the buffer overruns.
-	if out.Writeback {
+	if writeback {
 		flushTime := e.mem.LineTime(e.L)
 		if e.cfg.WriteBufferDepth > 0 {
-			e.postWrite(victimToken(out.FillLine), flushTime)
+			e.postWrite(victimToken(line), flushTime)
 		} else {
 			e.res.FlushStall += flushTime
 		}
@@ -449,8 +527,8 @@ func (e *engine) drainConflicts(line uint64) {
 // already advanced e.cur during the replay.
 func (e *engine) result() Result {
 	r := e.res
-	r.Misses = e.cache.Stats().Fills
-	r.Traffic = e.cache.Stats().Traffic(e.L, e.D)
+	r.Misses = e.stats.Fills
+	r.Traffic = e.stats.Traffic(e.L, e.D)
 	r.Cycles = e.cur + r.FlushStall + r.WriteStall
 	r.BaseCycles = int64(r.E)
 	betaM := e.cfg.Memory.BetaM
