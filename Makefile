@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test test-short race bench bench-smoke bench-mrc bench-record trace-smoke flight-smoke obs-smoke figures figures-fast report examples serve clean
+.PHONY: all build vet lint lint-fast test test-short race loadbench-test bench bench-smoke bench-mrc bench-record trace-smoke flight-smoke obs-smoke figures figures-fast report examples serve clean
 
 all: build lint test race
 
@@ -39,6 +39,13 @@ test-short:
 # in anywhere).
 race:
 	$(GO) test -race ./...
+
+# Vet and test the loadbench module. It has its own go.mod, so the
+# root `go build ./...` never compiles it, yet it imports sweep, simjob
+# and service; its smoke test checks every workload's answers against
+# loadbench/testdata/digests.json.
+loadbench-test:
+	cd loadbench && $(GO) vet ./... && $(GO) test ./...
 
 # Run the HTTP evaluation service on :8080.
 serve:

@@ -15,7 +15,7 @@
 // structs the generators run with — blends components through their
 // working-set functions to account for Mix interleaving, and wraps
 // the result in an *mrc.Curve via mrc.NewAnalyticCurve. Downstream
-// consumers (sweep.RunCurves, /v1/sweep, /v1/stall) therefore price
+// consumers (sweep.RunCaches, /v1/sweep, /v1/stall) therefore price
 // designs from analytic curves through exactly the same
 // HitRatio/HitRatioAssoc surface as exact curves, in microseconds
 // instead of milliseconds.
@@ -47,7 +47,7 @@ type Spec struct {
 
 // Validate reports specs outside the model's domain.
 func (s Spec) Validate() error {
-	if !Covered(s.Workload) {
+	if unknown := trace.ValidWorkloads([]string{s.Workload}); len(unknown) > 0 {
 		return fmt.Errorf("model: workload %q is not covered (covered: %v)", s.Workload, trace.Workloads())
 	}
 	if s.Refs <= 0 {
@@ -62,15 +62,6 @@ func (s Spec) Validate() error {
 // key is the memoization key for Cache.
 func (s Spec) key() string {
 	return fmt.Sprintf("%s|%d|%d|%d", s.Workload, s.Seed, s.Refs, s.LineSize)
-}
-
-// Covered reports whether the analytic tier can price the named
-// workload. All seven named workloads (six SPEC92-like programs plus
-// zipf) are covered; the predicate exists so mode=auto has a
-// principled fallback rule when future workloads (e.g. replayed
-// external traces) arrive without closed forms.
-func Covered(workload string) bool {
-	return len(trace.ValidWorkloads([]string{workload})) == 0
 }
 
 // entry is one mass point of a component's stack-distance histogram,

@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"reflect"
 	"strings"
 )
 
@@ -16,7 +18,8 @@ import (
 //
 //	decode+defaults+validate (400) → limits (422) → format (400) →
 //	canonical key (400) → memo+singleflight → run (422, or 499 when
-//	the client hung up) → encode JSON|CSV → respond+cache
+//	the client hung up) → finite check (422) → encode JSON|CSV →
+//	respond+cache
 //
 // so registering the next endpoint means filling in this struct, not
 // re-writing the pipeline.
@@ -96,6 +99,9 @@ func handle[Req, Res any](s *Server, ep endpoint[Req, Res]) http.HandlerFunc {
 			if err != nil {
 				return cachedResponse{}, err
 			}
+			if field, f, found := nonFinite(reflect.ValueOf(res)); found {
+				return cachedResponse{}, fmt.Errorf("result %s = %v: the inputs overflow float64 arithmetic", field, f)
+			}
 			if format == "csv" {
 				var buf bytes.Buffer
 				if err := ep.encodeCSV(&buf, res); err != nil {
@@ -150,4 +156,44 @@ func requestFormat(r *http.Request) (string, error) {
 		return "csv", nil
 	}
 	return "json", nil
+}
+
+// nonFinite finds the first NaN or ±Inf float reachable from v and
+// returns it with the JSON name of the struct field holding it. Inputs
+// that overflow float64 arithmetic (a 1e308 latency over a 1e-300
+// cycle time) evaluate to such values, which JSON cannot spell and a
+// CSV cell would spell differently, so the pipeline rejects them
+// before either encoder runs, identically for both formats.
+func nonFinite(v reflect.Value) (field string, f float64, found bool) {
+	switch v.Kind() {
+	case reflect.Float32, reflect.Float64:
+		f = v.Float()
+		return "", f, math.IsNaN(f) || math.IsInf(f, 0)
+	case reflect.Pointer, reflect.Interface:
+		if !v.IsNil() {
+			return nonFinite(v.Elem())
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if field, f, found = nonFinite(v.Index(i)); found {
+				return field, f, true
+			}
+		}
+	case reflect.Map:
+		for it := v.MapRange(); it.Next(); {
+			if field, f, found = nonFinite(it.Value()); found {
+				return field, f, true
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if field, f, found = nonFinite(v.Field(i)); found {
+				if field == "" {
+					field, _, _ = strings.Cut(v.Type().Field(i).Tag.Get("json"), ",")
+				}
+				return field, f, true
+			}
+		}
+	}
+	return "", 0, false
 }

@@ -524,9 +524,9 @@ func evalTradeoff(req TradeoffRequest) (TradeoffResponse, error) {
 
 // SweepResponse is the JSON shape of POST /v1/sweep. ErrorBound is
 // present only when the sweep was answered by the analytic model tier
-// (hit source "an:<workload>" after mode resolution): the committed
-// maximum absolute hit-ratio error of that workload's model against
-// the exact MRC tier (model.ErrorBound).
+// after mode resolution: the committed maximum absolute hit-ratio
+// error of that workload's model against the exact MRC tier
+// (sweep.ErrorBound).
 type SweepResponse struct {
 	Count       int            `json:"count"`
 	ParetoCount int            `json:"pareto_count"`
@@ -535,11 +535,19 @@ type SweepResponse struct {
 }
 
 // caches bundles the server's shared memoization state for the sweep
-// engines: miss-ratio curves, analytic models, and the simjob trace
-// seam hierarchy sweeps replay "sim:" sources through (one
-// materialized trace per workload across all requests).
+// engines: miss-ratio curves and analytic models.
 func (s *Server) caches() sweep.Caches {
-	return sweep.Caches{Curves: s.curves, Models: s.models, Measure: s.runner.MeasureHierarchy}
+	return sweep.Caches{Curves: s.curves, Models: s.models}
+}
+
+// errorBound is the committed hit-ratio error of a sweep's designs.
+// The effective hit source is uniform across a sweep, so the first
+// design speaks for all of them.
+func errorBound(ds []sweep.Design) float64 {
+	if len(ds) == 0 {
+		return 0
+	}
+	return sweep.ErrorBound(ds[0].HitSource)
 }
 
 // sweepEndpoint registers POST /v1/sweep on the shared pipeline.
@@ -553,24 +561,16 @@ func (s *Server) sweepEndpoint() endpoint[sweep.Config, []sweep.Design] {
 			return sweep.RunCaches(ctx, cfg, s.opts.Workers, s.caches())
 		},
 		encodeJSON: func(ds []sweep.Design) any {
-			resp := SweepResponse{Count: len(ds), ParetoCount: sweep.ParetoCount(ds), Designs: ds}
-			if len(ds) > 0 {
-				// The effective hit source is uniform across a sweep, so
-				// the first design speaks for all of them.
-				if _, w, ok := sweep.SourceWorkload(ds[0].HitSource); ok && ds[0].HitSource == "an:"+w {
-					resp.ErrorBound = model.ErrorBound(w)
-				}
-			}
-			return resp
+			return SweepResponse{Count: len(ds), ParetoCount: sweep.ParetoCount(ds), ErrorBound: errorBound(ds), Designs: ds}
 		},
 		encodeCSV: func(w io.Writer, ds []sweep.Design) error { return sweep.WriteCSV(w, ds) },
 	}
 }
 
 // StallResponse is the JSON shape of POST /v1/stall. ErrorBounds maps
-// each workload that was priced analytically (point source
-// "an:<workload>" after mode resolution) to its committed hit-ratio
-// error budget — the miss counts behind those points inherit it.
+// each workload that was priced analytically after mode resolution to
+// its committed hit-ratio error budget — the miss counts behind those
+// points inherit it.
 type StallResponse struct {
 	Count       int                  `json:"count"`
 	ErrorBounds map[string]float64   `json:"error_bounds,omitempty"`
@@ -590,11 +590,11 @@ func (s *Server) stallEndpoint() endpoint[simjob.Grid, []simjob.PointResult] {
 		encodeJSON: func(ps []simjob.PointResult) any {
 			resp := StallResponse{Count: len(ps), Points: ps}
 			for _, p := range ps {
-				if p.Source == "an:"+p.Program {
+				if b := sweep.ErrorBound(p.Source); b > 0 {
 					if resp.ErrorBounds == nil {
 						resp.ErrorBounds = make(map[string]float64)
 					}
-					resp.ErrorBounds[p.Program] = model.ErrorBound(p.Program)
+					resp.ErrorBounds[p.Program] = b
 				}
 			}
 			return resp
@@ -607,8 +607,8 @@ func (s *Server) stallEndpoint() endpoint[simjob.Grid, []simjob.PointResult] {
 // counts every design point enumerated across all hierarchy depths;
 // Feasible counts (and Designs carries) the ones within the budgets,
 // with the (delay, area, pins) Pareto frontier flagged. ErrorBound
-// carries the analytic tier's committed hit-ratio error when the
-// effective hit source is "an:<workload>", like SweepResponse.
+// carries the analytic tier's committed hit-ratio error, like
+// SweepResponse.
 type OptimizeResponse struct {
 	Total       int            `json:"total"`
 	Feasible    int            `json:"feasible"`
@@ -630,18 +630,13 @@ func (s *Server) optimizeEndpoint() endpoint[sweep.OptimizeConfig, sweep.Optimiz
 			return sweep.OptimizeCaches(ctx, cfg, s.opts.Workers, s.caches())
 		},
 		encodeJSON: func(res sweep.OptimizeResult) any {
-			resp := OptimizeResponse{
+			return OptimizeResponse{
 				Total:       res.Total,
 				Feasible:    res.Feasible,
 				ParetoCount: sweep.ParetoCount(res.Designs),
+				ErrorBound:  errorBound(res.Designs),
 				Designs:     res.Designs,
 			}
-			if len(res.Designs) > 0 {
-				if _, w, ok := sweep.SourceWorkload(res.Designs[0].HitSource); ok && res.Designs[0].HitSource == "an:"+w {
-					resp.ErrorBound = model.ErrorBound(w)
-				}
-			}
-			return resp
 		},
 		encodeCSV: func(w io.Writer, res sweep.OptimizeResult) error { return sweep.WriteOptimizeCSV(w, res.Designs) },
 	}

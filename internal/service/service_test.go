@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tradeoff/internal/core"
 	"tradeoff/internal/model"
@@ -673,9 +674,9 @@ func TestOptimizeEndpoint(t *testing.T) {
 	}
 }
 
-// TestOptimizeEndpointSimSource routes a measured hierarchy search
-// through the server's shared simjob runner: the trace must be
-// materialized once however many designs replay it.
+// TestOptimizeEndpointSimSource runs a measured hierarchy search: the
+// request's trace must be generated once, in one trace_gen span,
+// however many flat and hierarchy designs replay it.
 func TestOptimizeEndpointSimSource(t *testing.T) {
 	s, ts := newTestServer(t)
 	cfg := `{"cache_kb":[4,8],"line_bytes":[32],"bus_bits":[64],
@@ -694,7 +695,13 @@ func TestOptimizeEndpointSimSource(t *testing.T) {
 	if got.Total != 4 {
 		t.Fatalf("total = %d, want 4 (2 flat + 2 two-level)", got.Total)
 	}
-	if n := s.runner.Traces().Generated(); n != 1 {
-		t.Fatalf("measured search materialized %d traces, want 1 shared", n)
+	gens := 0
+	for _, rec := range s.ring.Snapshot(time.Time{}) {
+		if rec.Name == "trace_gen" {
+			gens++
+		}
+	}
+	if gens != 1 {
+		t.Fatalf("measured search recorded %d trace_gen spans, want 1", gens)
 	}
 }

@@ -45,9 +45,8 @@ type Grid struct {
 	// "exact" (default) replays every point cycle by cycle; "model"
 	// answers every point from the analytic tier (internal/model,
 	// first-order stall arithmetic — see model.EstimateStall for the
-	// documented accuracy budget) and errors if a program is not
-	// covered; "auto" uses the model where covered and falls back to
-	// replay otherwise.
+	// documented accuracy budget); "auto" is accepted and resolves
+	// exactly like "model", which covers every program Validate admits.
 	Mode string `json:"mode"`
 }
 
@@ -228,10 +227,11 @@ func (g *Grid) job(p Point) (Job, error) {
 }
 
 // RunGrid enumerates the grid and evaluates every point, returning
-// results in enumeration order. Mode routes each point: replay points
-// run on the runner's pool; analytic points (mode "model", or "auto"
-// over a covered program) are priced inline by model.EstimateStall —
-// microseconds per point, so they need no pool at all.
+// results in enumeration order. Mode "exact" replays every point on the
+// runner's pool. Modes "model" and "auto" price every point inline with
+// model.EstimateStall — microseconds per point, so they need no pool at
+// all: Validate admits only named workloads, and the analytic tier
+// covers each of them.
 func (r *Runner) RunGrid(ctx context.Context, g Grid, workers int) ([]PointResult, error) {
 	g.SetDefaults()
 	if err := g.Validate(); err != nil {
@@ -241,23 +241,9 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, workers int) ([]PointResul
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("simjob: empty design grid (every line < D or > cache?)")
 	}
-	analytic := make([]bool, len(pts))
+	out := make([]PointResult, len(pts))
 	if g.Mode != sweep.ModeExact {
 		for i, p := range pts {
-			if model.Covered(p.Program) {
-				analytic[i] = true
-			} else if g.Mode == sweep.ModeModel {
-				return nil, fmt.Errorf("simjob: mode %q: no analytic model covers program %q; use mode %q to fall back",
-					sweep.ModeModel, p.Program, sweep.ModeAuto)
-			}
-		}
-	}
-
-	out := make([]PointResult, len(pts))
-	var jobs []Job
-	var jobIdx []int
-	for i, p := range pts {
-		if analytic[i] {
 			f, err := stall.ParseFeature(p.Feature)
 			if err != nil {
 				return nil, err
@@ -273,23 +259,23 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, workers int) ([]PointResul
 				return nil, err
 			}
 			out[i] = PointResult{Point: p, Source: "an:" + p.Program, Result: res}
-			continue
 		}
+		return out, nil
+	}
+	jobs := make([]Job, len(pts))
+	for i, p := range pts {
 		j, err := g.job(p)
 		if err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, j)
-		jobIdx = append(jobIdx, i)
+		jobs[i] = j
 	}
-	if len(jobs) > 0 {
-		results, err := r.Run(ctx, jobs, Options{Workers: workers, Warm: g.Warm})
-		if err != nil {
-			return nil, err
-		}
-		for k, i := range jobIdx {
-			out[i] = PointResult{Point: pts[i], Source: "replay", Result: results[k]}
-		}
+	results, err := r.Run(ctx, jobs, Options{Workers: workers, Warm: g.Warm})
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range pts {
+		out[i] = PointResult{Point: p, Source: "replay", Result: results[i]}
 	}
 	return out, nil
 }

@@ -208,33 +208,6 @@ func (r *Runner) measure(ctx context.Context, g group, jobs []Job, out []stall.R
 	return err
 }
 
-// MeasureHierarchy replays refs references of the named workload
-// through an N-level cache.Hierarchy built from levels (top first) and
-// returns its stats. The trace is served by the runner's memoized
-// TraceCache, so a hierarchy sweep over many geometries of one
-// workload materializes the trace once — this is the sweep.Caches
-// .Measure seam the tradeoffd service wires in for "sim:" hierarchy
-// sweeps.
-func (r *Runner) MeasureHierarchy(ctx context.Context, workload string, seed uint64, refs int, levels []cache.Config) (cache.HierarchyStats, error) {
-	trc, err := r.traces.Get(ctx, TraceSpec{Program: workload, Seed: seed, Refs: refs})
-	if err != nil {
-		return cache.HierarchyStats{}, err
-	}
-	h, err := cache.NewHierarchy(levels...)
-	if err != nil {
-		return cache.HierarchyStats{}, err
-	}
-	for i, ref := range trc {
-		// The replay is single-threaded; honor cancellation on long
-		// traces without paying a channel read per reference.
-		if i&0x3fff == 0 && ctx.Err() != nil {
-			return cache.HierarchyStats{}, ctx.Err()
-		}
-		h.Access(ref.Addr, ref.Write)
-	}
-	return h.Stats(), nil
-}
-
 // Run measures every job on the shared engine.Map pool, one pool item
 // (and one sim_job span) per distinct (trace, cache configuration)
 // whose replays run as one sim_replay item each (see measure), and

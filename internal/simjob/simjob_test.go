@@ -524,54 +524,3 @@ func TestGridModeModel(t *testing.T) {
 		t.Fatal("unknown mode accepted")
 	}
 }
-
-// TestMeasureHierarchy checks the sweep.Caches.Measure seam: the
-// runner's hierarchy replay must equal a direct cache.NewHierarchy
-// replay of the same trace, and repeated calls must share one
-// materialized trace.
-func TestMeasureHierarchy(t *testing.T) {
-	levels := []cache.Config{
-		{Size: 4 << 10, LineSize: 32, Assoc: 2},
-		{Size: 64 << 10, LineSize: 32, Assoc: 4},
-		{Size: 256 << 10, LineSize: 64, Assoc: 8},
-	}
-	r := NewRunner()
-	got, err := r.MeasureHierarchy(context.Background(), "ear", 1994, 30_000, levels)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	h, err := cache.NewHierarchy(levels...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs, err := TraceSpec{Program: "ear", Seed: 1994, Refs: 30_000}.Materialize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ref := range refs {
-		h.Access(ref.Addr, ref.Write)
-	}
-	if want := h.Stats(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("MeasureHierarchy = %+v, direct replay = %+v", got, want)
-	}
-
-	// A second measurement of a different geometry on the same workload
-	// reuses the memoized trace.
-	if _, err := r.MeasureHierarchy(context.Background(), "ear", 1994, 30_000, levels[:2]); err != nil {
-		t.Fatal(err)
-	}
-	if n := r.Traces().Generated(); n != 1 {
-		t.Fatalf("two measurements materialized %d traces, want 1", n)
-	}
-
-	// Invalid hierarchies and dead contexts surface errors.
-	if _, err := r.MeasureHierarchy(context.Background(), "ear", 1994, 1_000, nil); err == nil {
-		t.Fatal("empty hierarchy accepted")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := r.MeasureHierarchy(ctx, "ear", 7, 1_000, levels); err == nil {
-		t.Fatal("cancelled context accepted")
-	}
-}

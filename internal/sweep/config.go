@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strings"
 
-	"tradeoff/internal/model"
 	"tradeoff/internal/mrc"
 	"tradeoff/internal/trace"
 )
@@ -67,10 +66,9 @@ type LevelAxes struct {
 // Evaluation modes: how the mode knob reinterprets hit_source.
 // ModeExact prices hit_source exactly as written. ModeModel re-prices
 // any workload-bearing source ("sim:", "mrc:", "mrc~:") with the
-// closed-form analytic tier (internal/model) and errors if the
-// workload is not covered. ModeAuto does the same but falls back to
-// the written source instead of erroring — the "answer fast when you
-// can, answer right when you must" knob.
+// closed-form analytic tier (internal/model). The analytic tier covers
+// every workload Validate admits, so ModeAuto resolves exactly like
+// ModeModel; it stays an accepted spelling on the wire.
 const (
 	ModeExact = "exact"
 	ModeModel = "model"
@@ -118,27 +116,16 @@ func validateHitSource(hitSource string) error {
 }
 
 // EffectiveHitSource resolves the Mode knob against HitSource and
-// returns the source the engine actually prices. ModeExact (and the
-// already-analytic "an:"/"model" sources) pass through; ModeModel
-// maps "sim:w"/"mrc:w"/"mrc~:w" to "an:w" when the analytic tier
-// covers w and errors otherwise; ModeAuto falls back to the written
-// source instead of erroring. It assumes SetDefaults has run.
-func (c Config) EffectiveHitSource() (string, error) {
-	if c.Mode == "" || c.Mode == ModeExact {
-		return c.HitSource, nil
+// returns the source the engine actually prices. ModeExact passes the
+// source through; ModeModel and ModeAuto re-price every
+// workload-bearing source ("sim:w", "mrc:w", "mrc~:w") as the analytic
+// curve "an:w". The bare "model" surface carries no workload and
+// passes through under every mode. It assumes SetDefaults has run.
+func (c Config) EffectiveHitSource() string {
+	if _, name, ok := SourceWorkload(c.HitSource); ok && (c.Mode == ModeModel || c.Mode == ModeAuto) {
+		return "an:" + name
 	}
-	prefix, name, ok := SourceWorkload(c.HitSource)
-	if !ok || prefix == "an:" {
-		return c.HitSource, nil // no workload to re-price, or already analytic
-	}
-	if model.Covered(name) {
-		return "an:" + name, nil
-	}
-	if c.Mode == ModeAuto {
-		return c.HitSource, nil
-	}
-	return "", fmt.Errorf("sweep: mode %q: no analytic model covers workload %q (hit_source %q); use mode %q to fall back",
-		ModeModel, name, c.HitSource, ModeAuto)
+	return c.HitSource
 }
 
 // ExampleConfig is a commented-out-free example configuration, printed

@@ -58,7 +58,8 @@ func TestSimSweepMatchesPerPointSimulation(t *testing.T) {
 // TestFlatSweepSpansPerGeometry pins the flat evaluation's shape in a
 // trace export: exactly one sweep_point span per distinct (cache_kb,
 // line) geometry that has a design, carrying both as args, however
-// many bus widths price it.
+// many bus widths price it, and exactly one trace_gen span for the
+// request's one "sim:" trace.
 func TestFlatSweepSpansPerGeometry(t *testing.T) {
 	tracer := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tracer)
@@ -93,7 +94,14 @@ func TestFlatSweepSpansPerGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[[2]int]int{}
+	traceGens := 0
 	for _, ev := range events {
+		if ev.Name == "trace_gen" {
+			traceGens++
+			if ev.Args["workload"] != "zipf" || ev.Args["refs"] != float64(cfg.SimRefs) {
+				t.Errorf("trace_gen args %v, want workload zipf and refs %d", ev.Args, cfg.SimRefs)
+			}
+		}
 		if ev.Name != "sweep_point" {
 			continue
 		}
@@ -103,6 +111,9 @@ func TestFlatSweepSpansPerGeometry(t *testing.T) {
 			t.Fatalf("sweep_point args %v lack cache_kb and line", ev.Args)
 		}
 		seen[[2]int{int(kb), int(line)}]++
+	}
+	if traceGens != 1 {
+		t.Errorf("%d trace_gen spans, want 1 for the whole sweep", traceGens)
 	}
 	if len(seen) != len(want) {
 		t.Fatalf("sweep_point spans cover %d geometries %v, want %d %v", len(seen), seen, len(want), want)

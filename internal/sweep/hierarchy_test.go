@@ -136,55 +136,66 @@ func TestHierarchySweepWorth(t *testing.T) {
 	}
 }
 
+// TestHierarchySweepMeasured is the oracle for hierarchy "sim:"
+// sweeps, which replay the request's one trace through a real
+// cache.Hierarchy per design: every design's L1, local and global hit
+// ratios must equal a direct replay of the same trace, for two- and
+// three-level grids at any pool size.
 func TestHierarchySweepMeasured(t *testing.T) {
-	// The sim: source must replay an actual cache.Hierarchy — compare
-	// one design point against a direct replay.
-	cfg := Config{
-		CacheKB: []int{4}, LineBytes: []int{32}, BusBits: []int{64},
-		LatencyNS: 360, TransferNS: 60, CPUNS: 30,
-		HitSource: "sim:ear", SimRefs: 30_000,
-		Levels: []LevelAxes{{CacheKB: []int{64}, Assoc: 4, LatencyNS: 90}},
-	}
-	ds, err := Run(context.Background(), cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 1 {
-		t.Fatalf("designs = %d, want 1", len(ds))
-	}
-	h, err := cache.NewHierarchy(
-		cache.Config{Size: 4 << 10, LineSize: 32, Assoc: 2},
-		cache.Config{Size: 64 << 10, LineSize: 32, Assoc: 4},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range trace.Collect(trace.MustWorkload("ear", 1994), 30_000) {
-		h.Access(r.Addr, r.Write)
-	}
-	s := h.Stats()
-	if ds[0].HitRatio != s.L1HitRatio() || ds[0].Levels[0].LocalHitRatio != s.L2LocalHitRatio() {
-		t.Fatalf("measured sweep %+v disagrees with direct replay %+v", ds[0], s)
-	}
-	// The Measure seam overrides the private replay.
-	called := false
-	ds2, err := RunCaches(context.Background(), cfg, 0, Caches{
-		Measure: func(ctx context.Context, workload string, seed uint64, refs int, levels []cache.Config) (cache.HierarchyStats, error) {
-			called = true
-			if workload != "ear" || seed != 1994 || refs != 30_000 || len(levels) != 2 {
-				t.Errorf("measure called with (%q, %d, %d, %d levels)", workload, seed, refs, len(levels))
-			}
-			return replayHierarchy(ctx, workload, seed, refs, levels)
+	const refs = 20_000
+	trc := trace.Collect(trace.MustWorkload("ear", 1994), refs)
+	// Small, direct-mapped deeper levels make every level's assoc
+	// matter to its local hit ratio.
+	for _, levels := range [][]LevelAxes{
+		{{CacheKB: []int{16}, Assoc: 1, LatencyNS: 90}},
+		{
+			{CacheKB: []int{16}, LineBytes: []int{64}, Assoc: 1, LatencyNS: 60},
+			{CacheKB: []int{64}, LineBytes: []int{128}, Assoc: 4, LatencyNS: 120},
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !called {
-		t.Fatal("Caches.Measure not used")
-	}
-	if ds2[0].HitRatio != ds[0].HitRatio {
-		t.Fatal("Measure seam changed the result")
+	} {
+		cfg := Config{
+			CacheKB: []int{4, 8}, LineBytes: []int{16, 32}, BusBits: []int{64},
+			LatencyNS: 360, TransferNS: 60, CPUNS: 30,
+			HitSource: "sim:ear", SimRefs: refs,
+			Levels: levels,
+		}
+		for _, workers := range []int{1, 8} {
+			ds, err := Run(context.Background(), cfg, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ds) != 4 {
+				t.Fatalf("%d levels: %d designs, want 4", 1+len(levels), len(ds))
+			}
+			for _, d := range ds {
+				cfgs := []cache.Config{{Size: d.CacheKB << 10, LineSize: d.LineBytes, Assoc: 2}}
+				for i, l := range d.Levels {
+					cfgs = append(cfgs, cache.Config{Size: l.CacheKB << 10, LineSize: l.LineBytes, Assoc: levels[i].Assoc})
+				}
+				h, err := cache.NewHierarchy(cfgs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range trc {
+					h.Access(r.Addr, r.Write)
+				}
+				s := h.Stats()
+				if d.HitRatio != s.L1HitRatio() || d.GlobalHitRatio != s.GlobalHitRatio() {
+					t.Errorf("workers %d: design %+v disagrees with direct replay %+v", workers, d, s)
+				}
+				for i, l := range d.Levels {
+					if l.LocalHitRatio != s.LocalHitRatio(i+1) {
+						t.Errorf("workers %d: %dKB/%dB level %d local hit ratio %v, direct replay %v",
+							workers, d.CacheKB, d.LineBytes, i+2, l.LocalHitRatio, s.LocalHitRatio(i+1))
+					}
+				}
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := Run(ctx, cfg, 1); err == nil {
+			t.Fatal("cancelled context accepted")
+		}
 	}
 }
 

@@ -149,18 +149,15 @@ func Optimize(ctx context.Context, cfg OptimizeConfig, workers int) (OptimizeRes
 }
 
 // OptimizeCaches is Optimize with caller-owned memoization state (see
-// Caches); the tradeoffd service shares its curve and model caches and
-// the simjob trace seam across requests this way.
+// Caches); the tradeoffd service shares its curve and model caches
+// across requests this way.
 func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches Caches) (OptimizeResult, error) {
 	cfg.SetDefaults()
 	if err := cfg.Validate(); err != nil {
 		return OptimizeResult{}, err
 	}
-	hit, source, err := hitFunc(cfg.Config, caches)
-	if err != nil {
-		return OptimizeResult{}, err
-	}
-	points, err := optimizePoints(ctx, cfg, hit)
+	surf := resolveSurface(ctx, cfg.Config, caches)
+	points, err := optimizePoints(ctx, cfg, surf.hit)
 	if err != nil {
 		return OptimizeResult{}, err
 	}
@@ -177,11 +174,11 @@ func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches
 		var d Design
 		var err error
 		if len(p.levels) > 0 {
-			d, err = evaluateHierarchy(ctx, cfg.Config, caches, hit, source, p)
+			d, err = evaluateHierarchy(ctx, cfg.Config, surf, p)
 		} else {
 			var hr float64
-			if hr, err = hit(ctx, p.cacheKB<<10, p.line); err == nil {
-				d, err = evaluate(cfg.Config, hr, source, p)
+			if hr, err = surf.hit(ctx, p.cacheKB<<10, p.line); err == nil {
+				d, err = evaluate(cfg.Config, hr, surf.name, p)
 			}
 		}
 		if err != nil {

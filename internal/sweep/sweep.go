@@ -6,17 +6,13 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 
 	"tradeoff/internal/area"
-	"tradeoff/internal/cache"
 	"tradeoff/internal/core"
 	"tradeoff/internal/engine"
-	"tradeoff/internal/missratio"
 	"tradeoff/internal/model"
 	"tradeoff/internal/mrc"
 	"tradeoff/internal/obs"
-	"tradeoff/internal/trace"
 )
 
 // Design is one evaluated point of the space: the knobs, the measured
@@ -74,56 +70,37 @@ type levelPoint struct {
 // context cancels in-flight evaluation: a disconnected HTTP client or
 // an interrupted CLI stops the pool early with ctx.Err().
 func Run(ctx context.Context, cfg Config, workers int) ([]Design, error) {
-	return RunCurves(ctx, cfg, workers, nil)
-}
-
-// RunCurves is Run with a caller-owned miss-ratio-curve cache backing
-// the "mrc:"/"mrc~:" hit sources, so curves survive across sweeps (the
-// tradeoffd service holds one for its lifetime). A nil cache is fine —
-// an mrc sweep then profiles into a private cache, still paying
-// exactly one trace pass per (workload, line size) within that sweep.
-func RunCurves(ctx context.Context, cfg Config, workers int, curves *mrc.CurveCache) ([]Design, error) {
-	return RunCaches(ctx, cfg, workers, Caches{Curves: curves})
+	return RunCaches(ctx, cfg, workers, Caches{})
 }
 
 // Caches holds the caller-owned memoization state a sweep may share
 // across requests: exact miss-ratio curves ("mrc:"/"mrc~:") and
 // analytic curves ("an:", and "sim:"/"mrc:" re-priced by the mode
-// knob). Any field may be nil; the sweep then uses a private cache
-// (or a private trace replay, for Measure) scoped to the one run.
+// knob). Either field may be nil; the sweep then uses a private cache
+// scoped to the one run. The tradeoffd service holds one of each for
+// its lifetime.
 type Caches struct {
 	Curves *mrc.CurveCache
 	Models *model.Cache
-	// Measure replays a workload through an N-level hierarchy for
-	// "sim:" sweeps with levels. simjob wires its memoized trace
-	// cache in here; sweep cannot import simjob (simjob imports
-	// sweep), so the seam is a function value.
-	Measure MeasureFunc
 }
 
-// MeasureFunc measures an N-level hierarchy's stats by replaying refs
-// references of the named workload (seeded deterministically) through
-// the level configs, top first.
-type MeasureFunc func(ctx context.Context, workload string, seed uint64, refs int, levels []cache.Config) (cache.HierarchyStats, error)
-
-// RunCaches is RunCurves generalized to every curve-backed hit source.
+// RunCaches is Run with caller-owned curve caches, so curves survive
+// across sweeps. A private cache still pays exactly one pass per
+// (workload, line size) within its sweep.
 func RunCaches(ctx context.Context, cfg Config, workers int, caches Caches) ([]Design, error) {
 	cfg.SetDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	hit, source, err := hitFunc(cfg, caches)
-	if err != nil {
-		return nil, err
-	}
-
 	points := enumerate(cfg)
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sweep: empty design space (every line < 2D, or no monotone hierarchy?)")
 	}
+	surf := resolveSurface(ctx, cfg, caches)
 
 	ctx = obs.WithSpanName(ctx, "sweep_point")
 	var out []Design
+	var err error
 	if len(cfg.Levels) > 0 {
 		out, err = engine.Map(ctx, points, workers, func(ctx context.Context, p point) (Design, error) {
 			if s := obs.CurrentSpan(ctx); s != nil {
@@ -131,10 +108,10 @@ func RunCaches(ctx context.Context, cfg Config, workers int, caches Caches) ([]D
 				s.SetArg("line", p.line)
 				s.SetArg("bus_bits", p.busBits)
 			}
-			return evaluateHierarchy(ctx, cfg, caches, hit, source, p)
+			return evaluateHierarchy(ctx, cfg, surf, p)
 		})
 	} else {
-		out, err = runFlat(ctx, cfg, workers, hit, source, points)
+		out, err = runFlat(ctx, cfg, workers, surf, points)
 	}
 	if err != nil {
 		return nil, err
@@ -154,7 +131,7 @@ type geometry struct {
 // distinct (size, line) geometry's hit ratio once — one sweep_point
 // span per geometry — and a plain loop then prices every (size, line,
 // bus) design from its geometry's ratio, in enumeration order.
-func runFlat(ctx context.Context, cfg Config, workers int, hit hitRatioFunc, source string, points []point) ([]Design, error) {
+func runFlat(ctx context.Context, cfg Config, workers int, surf surface, points []point) ([]Design, error) {
 	index := make(map[geometry]int)
 	var geoms []geometry
 	for _, p := range points {
@@ -169,14 +146,14 @@ func runFlat(ctx context.Context, cfg Config, workers int, hit hitRatioFunc, sou
 			s.SetArg("cache_kb", g.cacheKB)
 			s.SetArg("line", g.line)
 		}
-		return hit(ctx, g.cacheKB<<10, g.line)
+		return surf.hit(ctx, g.cacheKB<<10, g.line)
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Design, len(points))
 	for i, p := range points {
-		if out[i], err = evaluate(cfg, ratios[index[geometry{p.cacheKB, p.line}]], source, p); err != nil {
+		if out[i], err = evaluate(cfg, ratios[index[geometry{p.cacheKB, p.line}]], surf.name, p); err != nil {
 			return nil, err
 		}
 	}
@@ -260,21 +237,14 @@ func evaluate(cfg Config, hr float64, source string, p point) (Design, error) {
 // the miss stream above is (C(S_i) − C(S_{i−1})) / (1 − C(S_{i−1})).
 // Delay is core.HierarchyDelay with the memory line fill priced at
 // the last level's line size; area sums every level's rbe.
-func evaluateHierarchy(ctx context.Context, cfg Config, caches Caches, hit hitRatioFunc, source string, p point) (Design, error) {
+func evaluateHierarchy(ctx context.Context, cfg Config, surf surface, p point) (Design, error) {
 	d := p.busBits / 8
 	c := 1 + cfg.LatencyNS/cfg.CPUNS
 	beta := cfg.TransferNS / cfg.CPUNS
 	lastLine := p.levels[len(p.levels)-1].line
 	tMem := c + float64(lastLine)/float64(d)*beta
 
-	var locals []float64
-	var global float64
-	var err error
-	if name, ok := strings.CutPrefix(source, "sim:"); ok {
-		locals, global, err = measuredLocals(ctx, cfg, caches, name, p)
-	} else {
-		locals, global, err = curveLocals(ctx, hit, p)
-	}
+	locals, global, err := surf.locals(ctx, cfg, p)
 	if err != nil {
 		return Design{}, err
 	}
@@ -328,49 +298,10 @@ func evaluateHierarchy(ctx context.Context, cfg Config, caches Caches, hit hitRa
 	pins := area.Pins{DataBits: p.busBits, AddrBits: cfg.AddrBits, Control: cfg.CtrlPins}
 	return Design{
 		CacheKB: p.cacheKB, LineBytes: p.line, BusBits: p.busBits,
-		HitRatio: specs[0].HitRatio, HitSource: source, Delay: delay,
+		HitRatio: specs[0].HitRatio, HitSource: surf.name, Delay: delay,
 		AreaRBE: total, Pins: pins.Total(),
 		Levels: levels, GlobalHitRatio: global,
 	}, nil
-}
-
-// measuredLocals replays the workload through a real N-level hierarchy
-// (via the shared simjob seam when wired, else a private trace).
-func measuredLocals(ctx context.Context, cfg Config, caches Caches, workload string, p point) ([]float64, float64, error) {
-	cfgs := make([]cache.Config, 0, len(p.levels)+1)
-	cfgs = append(cfgs, cache.Config{Size: p.cacheKB << 10, LineSize: p.line, Assoc: cfg.Assoc})
-	for i, lp := range p.levels {
-		cfgs = append(cfgs, cache.Config{Size: lp.kb << 10, LineSize: lp.line, Assoc: cfg.Levels[i].Assoc})
-	}
-	measure := caches.Measure
-	if measure == nil {
-		measure = replayHierarchy
-	}
-	stats, err := measure(ctx, workload, cfg.Seed, cfg.SimRefs, cfgs)
-	if err != nil {
-		return nil, 0, err
-	}
-	return stats.LocalHitRatios(), stats.GlobalHitRatio(), nil
-}
-
-// replayHierarchy is the private-trace MeasureFunc fallback.
-func replayHierarchy(_ context.Context, workload string, seed uint64, refs int, levels []cache.Config) (cache.HierarchyStats, error) {
-	src, err := trace.NewWorkload(workload, seed)
-	if err != nil {
-		return cache.HierarchyStats{}, err
-	}
-	h, err := cache.NewHierarchy(levels...)
-	if err != nil {
-		return cache.HierarchyStats{}, err
-	}
-	for i := 0; i < refs; i++ {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
-		h.Access(r.Addr, r.Write)
-	}
-	return h.Stats(), nil
 }
 
 // curveLocals prices every level off the configured hit-ratio curve
@@ -415,94 +346,6 @@ func clampRatio(v, hi float64) float64 {
 // context carries the worker's span, so curve passes nest under their
 // sweep_point in a -trace export.
 type hitRatioFunc func(ctx context.Context, sizeBytes, line int) (float64, error)
-
-// mrcSource splits an "mrc:<workload>" or "mrc~:<workload>" hit source
-// into its workload name and sampling flag.
-func mrcSource(hitSource string) (name string, sampled, ok bool) {
-	if name, ok = strings.CutPrefix(hitSource, "mrc~:"); ok {
-		return name, true, true
-	}
-	name, ok = strings.CutPrefix(hitSource, "mrc:")
-	return name, false, ok
-}
-
-// hitFunc returns the hit-ratio source selected by the config after
-// Mode resolution, along with the effective source string recorded on
-// every Design: the calibrated design-target surface ("model"), the
-// closed-form analytic curve ("an:<name>", internal/model), cache
-// simulation of a named workload ("sim:<name>"), or a single-pass
-// miss-ratio curve ("mrc:<name>" exact, "mrc~:<name>" SHARDS-sampled).
-// Simulated sources materialize the trace once, on first use, and
-// replay that read-only slice through a fresh cache per call; curve
-// sources share one memoized curve per (workload, line size) through
-// caches. Either way the returned function is safe for concurrent use
-// by the pool.
-func hitFunc(cfg Config, caches Caches) (hitRatioFunc, string, error) {
-	source, err := cfg.EffectiveHitSource()
-	if err != nil {
-		return nil, "", err
-	}
-	if source == "model" {
-		m := missratio.DefaultModel()
-		return func(_ context.Context, size, line int) (float64, error) {
-			return 1 - m.MissRatio(size, line), nil
-		}, source, nil
-	}
-	if name, ok := strings.CutPrefix(source, "an:"); ok {
-		models := caches.Models
-		if models == nil {
-			models = model.NewCache(0, 0)
-		}
-		spec := model.Spec{Workload: name, Seed: cfg.Seed, Refs: cfg.SimRefs}
-		return func(ctx context.Context, size, line int) (float64, error) {
-			s := spec
-			s.LineSize = line
-			c, _, err := models.Get(ctx, s)
-			if err != nil {
-				return 0, err
-			}
-			return c.HitRatioAssoc(size, cfg.Assoc), nil
-		}, source, nil
-	}
-	if name, sampled, ok := mrcSource(source); ok {
-		curves := caches.Curves
-		if curves == nil {
-			curves = mrc.NewCurveCache(0, 0)
-		}
-		spec := mrc.Spec{Workload: name, Seed: cfg.Seed, Refs: cfg.SimRefs, Sampled: sampled}
-		if sampled {
-			spec.Sampler = mrc.SamplerConfig{Rate: cfg.MRCRate, Budget: cfg.MRCBudget}
-		}
-		return func(ctx context.Context, size, line int) (float64, error) {
-			s := spec
-			s.LineSize = line
-			c, _, err := curves.Get(ctx, s)
-			if err != nil {
-				return 0, err
-			}
-			return c.HitRatioAssoc(size, cfg.Assoc), nil
-		}, source, nil
-	}
-	name := strings.TrimPrefix(source, "sim:")
-	refs := sync.OnceValues(func() ([]trace.Ref, error) {
-		src, err := trace.NewWorkload(name, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return trace.Collect(src, cfg.SimRefs), nil
-	})
-	return func(_ context.Context, size, line int) (float64, error) {
-		trc, err := refs()
-		if err != nil {
-			return 0, err
-		}
-		c, err := cache.New(cache.Config{Size: size, LineSize: line, Assoc: cfg.Assoc})
-		if err != nil {
-			return 0, err
-		}
-		return cache.Measure(c, trc).HitRatio, nil
-	}, source, nil
-}
 
 // MarkPareto flags designs not dominated in (delay, area, pins).
 func MarkPareto(ds []Design) {

@@ -151,30 +151,28 @@ func TestValidateMode(t *testing.T) {
 	}
 }
 
-// TestEffectiveHitSource pins the mode → source decision rule.
+// TestEffectiveHitSource pins the mode → source decision rule: auto
+// resolves exactly like model, since every admissible workload has an
+// analytic curve.
 func TestEffectiveHitSource(t *testing.T) {
 	cases := []struct {
 		mode, src, want string
-		wantErr         bool
 	}{
-		{ModeExact, "sim:ear", "sim:ear", false},
-		{ModeExact, "an:ear", "an:ear", false},
-		{ModeModel, "sim:ear", "an:ear", false},
-		{ModeModel, "mrc:zipf", "an:zipf", false},
-		{ModeModel, "mrc~:nasa7", "an:nasa7", false},
-		{ModeModel, "an:doduc", "an:doduc", false},
-		{ModeModel, "model", "model", false}, // calibrated surface: nothing to re-price
-		{ModeAuto, "mrc:hydro2d", "an:hydro2d", false},
-		{ModeAuto, "model", "model", false},
+		{ModeExact, "sim:ear", "sim:ear"},
+		{ModeExact, "an:ear", "an:ear"},
+		{ModeExact, "mrc~:ear", "mrc~:ear"},
+		{ModeModel, "sim:ear", "an:ear"},
+		{ModeModel, "mrc:zipf", "an:zipf"},
+		{ModeModel, "mrc~:nasa7", "an:nasa7"},
+		{ModeModel, "an:doduc", "an:doduc"},
+		{ModeModel, "model", "model"}, // calibrated surface: nothing to re-price
+		{ModeAuto, "mrc:hydro2d", "an:hydro2d"},
+		{ModeAuto, "sim:wave5", "an:wave5"},
+		{ModeAuto, "model", "model"},
 	}
 	for _, c := range cases {
 		cfg := Config{Mode: c.mode, HitSource: c.src}
-		got, err := cfg.EffectiveHitSource()
-		if (err != nil) != c.wantErr {
-			t.Errorf("mode %q src %q: err = %v, wantErr %v", c.mode, c.src, err, c.wantErr)
-			continue
-		}
-		if got != c.want {
+		if got := cfg.EffectiveHitSource(); got != c.want {
 			t.Errorf("mode %q src %q: got %q, want %q", c.mode, c.src, got, c.want)
 		}
 	}
