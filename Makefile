@@ -95,7 +95,7 @@ flight-smoke:
 
 # The full observability smoke: flight-smoke plus /metrics/history,
 # /debug/slow, /debug/dash and the tradeoffd_slo_* gauges, all against
-# a live server. CI runs this non-blocking, like bench-smoke.
+# a live server. CI blocks on it.
 obs-smoke:
 	sh scripts/obs_smoke.sh
 

@@ -158,14 +158,14 @@ var benchmarks = []struct {
 	}},
 	{"snapshot_tick", func(b *testing.B) {
 		// One metrics-history snapshot cycle at production scale: the
-		// runtime collector plus ~20 histogram-derived series.
-		h := obs.NewHistory(10*time.Second, time.Hour)
-		obs.RegisterRuntimeSeries(h)
+		// runtime collector plus 20 summaries.
+		r := obs.NewRegistry()
 		for i := 0; i < 20; i++ {
-			hist := obs.NewHistogram(fmt.Sprintf("bench_hist_%d", i))
+			hist := new(obs.Histogram)
 			hist.Observe(time.Millisecond)
-			h.RegisterHistogram(hist)
+			r.Add(obs.Family{Name: fmt.Sprintf("bench_hist_%d", i), Kind: obs.KindSummary, Collect: obs.CollectHistogram(hist)})
 		}
+		h := obs.NewHistory(10*time.Second, time.Hour, obs.NewRuntimeRegistry(), r)
 		now := time.Now()
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -6,7 +6,7 @@
 // prefix of the configured level axes competes under an area_budget
 // and optional power_budget, returning the budget-feasible designs
 // with the delay/area/pins Pareto frontier flagged), a liveness probe
-// (GET /healthz) and expvar counters (GET /metrics).
+// (GET /healthz) and counters (GET /metrics, JSON or Prometheus).
 //
 // Usage:
 //
@@ -33,7 +33,7 @@
 // -xval enables the continuous cross-validation loop: every interval
 // one (workload, line size) pair from the rotation is re-validated —
 // analytic model vs exact MRC vs a set-associative replay — and the
-// resulting error gauges are published on /metrics (expvar "xval",
+// resulting error gauges are published on /metrics (JSON "xval",
 // Prometheus tradeoffd_xval_* with ?format=prom). Off by default
 // (interval 0) since it burns a few milliseconds of CPU per pass.
 //
@@ -52,7 +52,7 @@
 //	-slo 'sweep:p99<250ms,err<1%;stall:p99<2s'
 //
 // which publishes rolling 5m/1h error-budget burn rates on /metrics
-// (expvar "slo", Prometheus tradeoffd_slo_*) and logs a structured
+// (JSON "slo", Prometheus tradeoffd_slo_*) and logs a structured
 // warning whenever an objective is burning.
 //
 // Examples:

@@ -1,6 +1,5 @@
-// Package metricreg keeps the expvar metric surface coherent with the
-// internal/service/metrics.go naming scheme. Two failure modes are
-// machine-checked:
+// Package metricreg keeps expvar metric names coherent with the
+// /metrics snake_case scheme. Two failure modes are machine-checked:
 //
 //  1. duplicate registration — expvar.Publish (and the NewInt/NewFloat/
 //     NewMap/NewString wrappers) panic at runtime when a name is
@@ -8,26 +7,14 @@
 //     any constant name within a package at build time instead, and
 //  2. naming drift — every constant metric name passed to a
 //     registration call or to (*expvar.Map).Set must be lower
-//     snake_case (`^[a-z][a-z0-9_]*$`), the scheme metrics.go
-//     established (requests_total, cache_hits, latency_us_total, …);
-//     camelCase, dashes and dots would fracture the /metrics document
-//     into inconsistent dialects.
+//     snake_case (`^[a-z][a-z0-9_]*$`), the scheme of the /metrics
+//     documents (requests_total, cache_hits, latency_us_total, …);
+//     camelCase, dashes and dots would fracture them into inconsistent
+//     dialects.
 //
-// The same two rules cover the internal/obs instruments: names passed
-// to obs.NewHistogram and obs.NewCounter feed the Prometheus
-// exposition (/metrics?format=prom), so they share the snake_case
-// scheme, and registering the same constant name at two call sites in
-// a package would fuse unrelated series into one — flagged in a
-// namespace separate from expvar's (an obs histogram may legitimately
-// share a name with a derived expvar key).
-//
-// Metrics-history series registered through (*obs.History).Register
-// get the same treatment in a third namespace: Register silently
-// replaces an existing sampler (that is how RegisterHistogram rebinds
-// derived series), so a duplicated constant name at two call sites
-// drops the first series without any runtime signal. Computed names
-// (the per-endpoint series internal/service derives from routes) are
-// out of scope, like every non-constant name.
+// The service's own metrics need no analyzer: each is named once on
+// an obs.Registry, whose Add panics on a duplicate or non-snake_case
+// name the first time a server is built (and tests build one).
 package metricreg
 
 import (
@@ -36,7 +23,6 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
-	"strings"
 
 	"tradeoff/internal/analysis/lint"
 	"tradeoff/internal/analysis/typeutil"
@@ -45,7 +31,7 @@ import (
 // Analyzer is the metricreg check.
 var Analyzer = &lint.Analyzer{
 	Name: "metricreg",
-	Doc:  "flags expvar and obs metric names registered more than once or diverging from the snake_case naming scheme of internal/service/metrics.go",
+	Doc:  "flags expvar metric names registered more than once or diverging from the snake_case /metrics naming scheme",
 	Run:  run,
 }
 
@@ -59,34 +45,14 @@ var registerFuncs = map[string]bool{
 	"NewString": true,
 }
 
-// obsRegisterFuncs are the internal/obs constructors that name an
-// instrument; the name becomes a Prometheus series, so duplicate
-// call-site registrations within a package fuse unrelated series.
-var obsRegisterFuncs = map[string]bool{
-	"NewHistogram": true,
-	"NewCounter":   true,
-}
-
-// metricNameRE is the metrics.go scheme: lower snake_case, starting
+// metricNameRE is the /metrics scheme: lower snake_case, starting
 // with a letter.
 var metricNameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
-// isObsPkg matches the instrument package by import-path suffix, so
-// the analyzer works both on the real tradeoff/internal/obs and on the
-// fixture stand-in package "obs" (the same convention typeutil's
-// IsNamedSuffix uses for stand-in types).
-func isObsPkg(path string) bool {
-	return path == "obs" || strings.HasSuffix(path, "/obs")
-}
-
 func run(pass *lint.Pass) error {
 	// Package-wide, file-order traversal keeps "first registration
-	// wins, later ones are flagged" deterministic. expvar and obs
-	// names live in separate namespaces: the service deliberately
-	// derives expvar keys from obs histograms.
+	// wins, later ones are flagged" deterministic.
 	seen := map[string]token.Pos{}
-	seenObs := map[string]token.Pos{}
-	seenHist := map[string]token.Pos{}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -94,16 +60,12 @@ func run(pass *lint.Pass) error {
 				return true
 			}
 			fn := typeutil.Callee(pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() == nil {
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "expvar" {
 				return true
 			}
-			pkgPath := fn.Pkg().Path()
-			noRecv := fn.Type().(*types.Signature).Recv() == nil
-			global := pkgPath == "expvar" && noRecv && registerFuncs[fn.Name()]
-			mapSet := pkgPath == "expvar" && typeutil.IsNamed(recvType(fn), "expvar", "Map") && fn.Name() == "Set"
-			obsReg := isObsPkg(pkgPath) && noRecv && obsRegisterFuncs[fn.Name()]
-			histReg := isObsPkg(pkgPath) && typeutil.IsNamedSuffix(recvType(fn), "obs", "History") && fn.Name() == "Register"
-			if !global && !mapSet && !obsReg && !histReg {
+			global := fn.Type().(*types.Signature).Recv() == nil && registerFuncs[fn.Name()]
+			mapSet := typeutil.IsNamed(recvType(fn), "expvar", "Map") && fn.Name() == "Set"
+			if !global && !mapSet {
 				return true
 			}
 			name, ok := constString(pass, call.Args[0])
@@ -111,27 +73,15 @@ func run(pass *lint.Pass) error {
 				return true
 			}
 			if !metricNameRE.MatchString(name) {
-				pass.Reportf(call.Args[0].Pos(), "metric name %q is not snake_case; the /metrics scheme is ^[a-z][a-z0-9_]*$ (see internal/service/metrics.go)", name)
+				pass.Reportf(call.Args[0].Pos(), "metric name %q is not snake_case; the /metrics scheme is ^[a-z][a-z0-9_]*$", name)
 			}
-			switch {
-			case global:
-				if first, dup := seen[name]; dup {
-					pass.Reportf(call.Args[0].Pos(), "expvar metric %q registered more than once (first at %s); expvar.Publish panics on duplicates", name, pass.Fset.Position(first))
-				} else {
-					seen[name] = call.Args[0].Pos()
-				}
-			case obsReg:
-				if first, dup := seenObs[name]; dup {
-					pass.Reportf(call.Args[0].Pos(), "obs metric %q registered more than once (first at %s); duplicate names fuse into one Prometheus series", name, pass.Fset.Position(first))
-				} else {
-					seenObs[name] = call.Args[0].Pos()
-				}
-			case histReg:
-				if first, dup := seenHist[name]; dup {
-					pass.Reportf(call.Args[0].Pos(), "history series %q registered more than once (first at %s); Register silently replaces the earlier sampler", name, pass.Fset.Position(first))
-				} else {
-					seenHist[name] = call.Args[0].Pos()
-				}
+			if !global {
+				return true
+			}
+			if first, dup := seen[name]; dup {
+				pass.Reportf(call.Args[0].Pos(), "expvar metric %q registered more than once (first at %s); expvar.Publish panics on duplicates", name, pass.Fset.Position(first))
+			} else {
+				seen[name] = call.Args[0].Pos()
 			}
 			return true
 		})

@@ -8,5 +8,5 @@ import (
 )
 
 func TestMetricreg(t *testing.T) {
-	analysistest.Run(t, "testdata", metricreg.Analyzer, "metrictest", "obstest")
+	analysistest.Run(t, "testdata", metricreg.Analyzer, "metrictest")
 }

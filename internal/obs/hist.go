@@ -18,29 +18,16 @@ const numBuckets = (64-subBits)<<subBits + 1<<subBits // 976
 // Histogram is a lock-free log-linear latency histogram: Observe is a
 // handful of atomic adds (no mutex, no allocation), making it cheap
 // enough for per-job engine instrumentation, and quantiles are
-// estimated from the bucket counts with ≤ ~6% relative error.
+// estimated from the bucket counts with ≤ ~6% relative error. The zero
+// value is an empty histogram; a Registry family names it.
 //
-// Values are durations; negative observations clamp to zero. The name
-// identifies the metric in Prometheus exposition and is checked for
-// snake_case and per-package uniqueness by the metricreg analyzer.
+// Values are durations; negative observations clamp to zero.
 type Histogram struct {
-	name    string
 	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 	max     atomic.Int64 // nanoseconds
 	buckets [numBuckets]atomic.Int64
 }
-
-// NewHistogram returns an empty histogram named name (snake_case; the
-// metricreg analyzer enforces the scheme and flags duplicate
-// registrations at build time — there is no runtime registry to
-// panic).
-func NewHistogram(name string) *Histogram {
-	return &Histogram{name: name}
-}
-
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
 
 // Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
@@ -133,20 +120,11 @@ func bucketLow(i int) int64 {
 	return (1<<subBits + sub) << shift
 }
 
-// Counter is a named atomic counter — the obs sibling of expvar.Int
-// for code that must stay expvar-free (the engine), with the same
-// metricreg-enforced naming scheme.
+// Counter is an atomic counter. The zero value is 0; a Registry
+// family names it.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
-
-// NewCounter returns a zero counter named name (snake_case, checked
-// by the metricreg analyzer).
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.v.Add(n) }
@@ -173,14 +151,26 @@ type EngineStats struct {
 	MemoShared *Counter
 }
 
-// NewEngineStats returns an EngineStats with the canonical metric
-// names used by the service's Prometheus exposition.
+// NewEngineStats returns an EngineStats with empty instruments.
 func NewEngineStats() *EngineStats {
 	return &EngineStats{
-		Eval:       NewHistogram("engine_eval_duration"),
-		QueueWait:  NewHistogram("engine_queue_wait_duration"),
-		MemoHit:    NewCounter("engine_memo_hits"),
-		MemoMiss:   NewCounter("engine_memo_misses"),
-		MemoShared: NewCounter("engine_memo_shared_flights"),
+		Eval:       new(Histogram),
+		QueueWait:  new(Histogram),
+		MemoHit:    new(Counter),
+		MemoMiss:   new(Counter),
+		MemoShared: new(Counter),
 	}
+}
+
+// Register names the five instruments on r: the two duration
+// summaries engine_eval_duration and engine_queue_wait_duration, then
+// the memo outcome counters engine_memo_hits, engine_memo_misses and
+// engine_memo_shared_flights.
+func (st *EngineStats) Register(r *Registry) {
+	r.Add(Family{Name: "engine_eval_duration", Kind: KindSummary, Collect: CollectHistogram(st.Eval)})
+	r.Add(Family{Name: "engine_queue_wait_duration", Kind: KindSummary, Collect: CollectHistogram(st.QueueWait)})
+	const help = "Engine memoization outcome count."
+	r.Add(Family{Name: "engine_memo_hits", Help: help, Kind: KindCounter, Collect: CollectInt(st.MemoHit.Value)})
+	r.Add(Family{Name: "engine_memo_misses", Help: help, Kind: KindCounter, Collect: CollectInt(st.MemoMiss.Value)})
+	r.Add(Family{Name: "engine_memo_shared_flights", Help: help, Kind: KindCounter, Collect: CollectInt(st.MemoShared.Value)})
 }

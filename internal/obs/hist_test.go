@@ -32,7 +32,7 @@ func TestBucketRoundTrip(t *testing.T) {
 }
 
 func TestHistogramCountSumMax(t *testing.T) {
-	h := NewHistogram("test_duration")
+	h := new(Histogram)
 	for _, d := range []time.Duration{time.Millisecond, 3 * time.Millisecond, 2 * time.Millisecond} {
 		h.Observe(d)
 	}
@@ -45,13 +45,10 @@ func TestHistogramCountSumMax(t *testing.T) {
 	if h.Max() != 3*time.Millisecond {
 		t.Fatalf("max = %v", h.Max())
 	}
-	if h.Name() != "test_duration" {
-		t.Fatalf("name = %q", h.Name())
-	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram("test_quantiles")
+	h := new(Histogram)
 	// A uniform distribution of 1..1000 µs; the log-linear buckets
 	// bound the relative error at 1/2^subBits.
 	for i := 1; i <= 1000; i++ {
@@ -77,7 +74,7 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramEmptyAndNegative(t *testing.T) {
-	h := NewHistogram("test_empty")
+	h := new(Histogram)
 	if h.Quantile(0.5) != 0 || h.Count() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram not all-zero")
 	}
@@ -88,7 +85,7 @@ func TestHistogramEmptyAndNegative(t *testing.T) {
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram("test_concurrent")
+	h := new(Histogram)
 	const workers, each = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -110,10 +107,10 @@ func TestHistogramConcurrent(t *testing.T) {
 }
 
 func TestCounter(t *testing.T) {
-	c := NewCounter("test_total")
+	var c Counter
 	c.Add(2)
 	c.Add(3)
-	if c.Value() != 5 || c.Name() != "test_total" {
-		t.Fatalf("counter = %d (%q)", c.Value(), c.Name())
+	if c.Value() != 5 {
+		t.Fatalf("counter = %d, want 5", c.Value())
 	}
 }

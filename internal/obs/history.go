@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -17,9 +17,9 @@ type Sample struct {
 	V float64 `json:"v"`
 }
 
-// seriesRing is one series' fixed-size sample ring plus its sampler.
+// seriesRing is one series' fixed-size sample ring.
 type seriesRing struct {
-	fn      func() float64
+	name    string
 	samples []Sample
 	next    int
 	full    bool
@@ -58,18 +58,57 @@ type TickSnapshot struct {
 	Values map[string]float64 `json:"values"`
 }
 
-// History is the in-process time-series store: named gauge samplers
-// registered once, sampled together on every Tick into fixed-size
-// per-series rings (capacity = window / interval), and served as JSON
-// windows. It answers "what did this process look like ten minutes
-// ago" without any external metrics stack.
-//
-// Series names follow the /metrics snake_case scheme; the metricreg
-// analyzer checks constant names passed to Register at build time.
-// History is safe for concurrent use.
+// summaryStats are the series each summary point feeds, by the last
+// SeriesName value: the rolling p50 and p99 estimates and the
+// cumulative count, whose delta over a window is its rate.
+var summaryStats = []struct {
+	name  string
+	value func(*Histogram) float64
+}{
+	{"p50_ns", func(h *Histogram) float64 { return float64(h.Quantile(0.5)) }},
+	{"p99_ns", func(h *Histogram) float64 { return float64(h.Quantile(0.99)) }},
+	{"count", func(h *Histogram) float64 { return float64(h.Count()) }},
+}
+
+// familySeries caches the rings one family's points feed, by position
+// in the family's Collect order, so a tick whose points match the last
+// tick's label values builds no names.
+type familySeries struct {
+	f      *Family
+	emit   func(Point) // bound once: a per-tick closure would allocate
+	next   int         // index of the next point this tick
+	points []pointRings
+}
+
+type pointRings struct {
+	labels []string
+	rings  []*seriesRing // one, or one per summaryStats entry
+}
+
+// pending is one collected value waiting for the store lock.
+type pending struct {
+	ring *seriesRing
+	v    float64
+}
+
+// History is the in-process time-series store: on every Tick it
+// collects its registries' families (see SeriesName for the series
+// each point feeds) into fixed-size per-series rings (capacity =
+// window / interval), starting a series' ring at the tick it first
+// appears, and serves them as JSON windows. It answers "what did this
+// process look like ten minutes ago" without any external metrics
+// stack. History is safe for concurrent use.
 type History struct {
 	interval time.Duration
 	capacity int
+	regs     []*Registry
+
+	// tickMu serialises ticks and guards the collection state. It is
+	// separate from mu because collecting runs outside mu: families
+	// may read this history (the SLO gauges do).
+	tickMu   sync.Mutex
+	families map[*Family]*familySeries
+	batch    []pending
 
 	mu     sync.Mutex
 	order  []string
@@ -79,9 +118,9 @@ type History struct {
 	ticks  int64
 }
 
-// NewHistory returns a store sampling every interval (default 10s)
-// and retaining window (default 1h) of samples per series.
-func NewHistory(interval, window time.Duration) *History {
+// NewHistory returns a store sampling regs every interval (default
+// 10s) and retaining window (default 1h) of samples per series.
+func NewHistory(interval, window time.Duration, regs ...*Registry) *History {
 	if interval <= 0 {
 		interval = 10 * time.Second
 	}
@@ -95,6 +134,8 @@ func NewHistory(interval, window time.Duration) *History {
 	return &History{
 		interval: interval,
 		capacity: capacity,
+		regs:     regs,
+		families: make(map[*Family]*familySeries),
 		series:   make(map[string]*seriesRing),
 		subs:     make(map[int]chan TickSnapshot),
 	}
@@ -103,38 +144,7 @@ func NewHistory(interval, window time.Duration) *History {
 // Interval returns the snapshot cadence.
 func (h *History) Interval() time.Duration { return h.interval }
 
-// Register adds (or replaces) the sampler behind the named series.
-// Names are constant at call sites by convention so the metricreg
-// analyzer can enforce snake_case and uniqueness at build time; a
-// replaced sampler keeps the series' retained samples.
-func (h *History) Register(name string, fn func() float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if sr, ok := h.series[name]; ok {
-		sr.fn = fn
-		return
-	}
-	h.series[name] = &seriesRing{fn: fn, samples: make([]Sample, 0, h.capacity)}
-	h.order = append(h.order, name)
-}
-
-// RegisterCounter samples c's running total under the counter's own
-// (metricreg-checked) name.
-func (h *History) RegisterCounter(c *Counter) {
-	h.Register(c.Name(), func() float64 { return float64(c.Value()) })
-}
-
-// RegisterHistogram derives three series from hist: <name>_p50_ns,
-// <name>_p99_ns and <name>_count. The quantiles are the histogram's
-// rolling estimates at each tick; the count is cumulative, so a
-// window's rate is the count delta over the window.
-func (h *History) RegisterHistogram(hist *Histogram) {
-	h.Register(hist.Name()+"_p50_ns", func() float64 { return float64(hist.Quantile(0.5).Nanoseconds()) })
-	h.Register(hist.Name()+"_p99_ns", func() float64 { return float64(hist.Quantile(0.99).Nanoseconds()) })
-	h.Register(hist.Name()+"_count", func() float64 { return float64(hist.Count()) })
-}
-
-// Names returns the registered series names in registration order.
+// Names returns the series names in order of first appearance.
 func (h *History) Names() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -150,22 +160,36 @@ func (h *History) Ticks() int64 {
 	return h.ticks
 }
 
-// Tick samples every registered series at now and fans the snapshot
-// out to subscribers. Samplers run under the store lock; they are all
-// atomic reads by construction (counters, histogram buckets, expvar
-// ints), so a tick costs microseconds. A sampler returning NaN or
-// ±Inf records 0 — rings must stay JSON-encodable.
+// Tick collects every family at now, appends one sample per series
+// and fans the snapshot out to subscribers. Collection runs before the
+// store lock is taken, so a family may read this history. A value
+// that is NaN or ±Inf records 0 — rings must stay JSON-encodable.
 func (h *History) Tick(now time.Time) TickSnapshot {
+	h.tickMu.Lock()
+	defer h.tickMu.Unlock()
+	h.batch = h.batch[:0]
+	for _, r := range h.regs {
+		for _, f := range r.families {
+			fs := h.families[f]
+			if fs == nil {
+				fs = &familySeries{f: f}
+				fs.emit = func(p Point) { h.collect(fs, p) }
+				h.families[f] = fs
+			}
+			fs.next = 0
+			f.Collect(fs.emit)
+		}
+	}
+
 	h.mu.Lock()
-	snap := TickSnapshot{T: now.UnixMilli(), Values: make(map[string]float64, len(h.order))}
-	for _, name := range h.order {
-		sr := h.series[name]
-		v := sr.fn()
+	snap := TickSnapshot{T: now.UnixMilli(), Values: make(map[string]float64, len(h.batch))}
+	for _, p := range h.batch {
+		v := p.v
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			v = 0
 		}
-		sr.push(Sample{T: snap.T, V: v})
-		snap.Values[name] = v
+		p.ring.push(Sample{T: snap.T, V: v})
+		snap.Values[p.ring.name] = v
 	}
 	h.ticks++
 	// Fan out under the lock: sends are non-blocking, and cancel
@@ -182,19 +206,52 @@ func (h *History) Tick(now time.Time) TickSnapshot {
 	return snap
 }
 
-// Run ticks every interval until ctx is cancelled — the scheduler
-// goroutine tradeoffd starts at boot.
-func (h *History) Run(ctx context.Context) {
-	t := time.NewTicker(h.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-t.C:
-			h.Tick(now)
-		}
+// collect queues one point's values on the tick's batch.
+//
+//lockguard:held tickMu
+func (h *History) collect(fs *familySeries, p Point) {
+	i := fs.next
+	fs.next++
+	if i == len(fs.points) {
+		fs.points = append(fs.points, pointRings{})
 	}
+	pr := &fs.points[i]
+	if pr.rings == nil || !slices.Equal(pr.labels, p.Labels) {
+		*pr = pointRings{labels: slices.Clone(p.Labels), rings: h.rings(fs.f, p.Labels)}
+	}
+	if fs.f.Kind != KindSummary {
+		h.batch = append(h.batch, pending{pr.rings[0], p.Value})
+		return
+	}
+	for j, st := range summaryStats {
+		h.batch = append(h.batch, pending{pr.rings[j], st.value(p.Hist)})
+	}
+}
+
+// rings returns the rings a point of f with the given label values
+// feeds, starting any series that is new.
+func (h *History) rings(f *Family, labels []string) []*seriesRing {
+	var names []string
+	if f.Kind == KindSummary {
+		for _, st := range summaryStats {
+			names = append(names, SeriesName(f.Name, append(labels[:len(labels):len(labels)], st.name)...))
+		}
+	} else {
+		names = []string{SeriesName(f.Name, labels...)}
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make([]*seriesRing, len(names))
+	for i, name := range names {
+		sr, ok := h.series[name]
+		if !ok {
+			sr = &seriesRing{name: name, samples: make([]Sample, 0, h.capacity)}
+			h.series[name] = sr
+			h.order = append(h.order, name)
+		}
+		out[i] = sr
+	}
+	return out
 }
 
 // Subscribe registers a snapshot listener with the given channel
@@ -223,7 +280,7 @@ func (h *History) Subscribe(buf int) (<-chan TickSnapshot, func()) {
 }
 
 // Get returns the retained samples for name at or after since. The
-// second return is false for an unregistered series.
+// second return is false for a series that has not appeared yet.
 func (h *History) Get(name string, since time.Time) ([]Sample, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -265,7 +322,7 @@ func (h *History) Max(name string, since time.Time) (float64, bool) {
 	return max, true
 }
 
-// WriteJSON renders the named series (all registered series when
+// WriteJSON renders the named series (every series when
 // names is empty) at or after since as one JSON document:
 //
 //	{"interval_ms":10000,"series":{"heap_bytes":[{"t":...,"v":...},...]}}

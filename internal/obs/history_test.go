@@ -10,10 +10,21 @@ import (
 	"time"
 )
 
+// addGauge registers an unlabeled gauge read from fn.
+func addGauge(r *Registry, name string, fn func() float64) {
+	r.Add(Family{Name: name, Kind: KindGauge, Collect: func(emit func(Point)) { emit(Point{Value: fn()}) }})
+}
+
+// gaugeHistory returns a history over one unlabeled gauge.
+func gaugeHistory(interval, window time.Duration, name string, fn func() float64) *History {
+	r := NewRegistry()
+	addGauge(r, name, fn)
+	return NewHistory(interval, window, r)
+}
+
 func TestHistoryTickAndGet(t *testing.T) {
-	h := NewHistory(10*time.Second, time.Minute)
 	var v float64
-	h.Register("test_series", func() float64 { return v })
+	h := gaugeHistory(10*time.Second, time.Minute, "test_series", func() float64 { return v })
 
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 4; i++ {
@@ -39,9 +50,8 @@ func TestHistoryTickAndGet(t *testing.T) {
 }
 
 func TestHistoryRingWraps(t *testing.T) {
-	h := NewHistory(time.Second, 4*time.Second) // capacity 4
 	n := 0.0
-	h.Register("wrap_series", func() float64 { n++; return n })
+	h := gaugeHistory(time.Second, 4*time.Second, "wrap_series", func() float64 { n++; return n }) // capacity 4
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	for i := 0; i < 10; i++ {
 		h.Tick(base.Add(time.Duration(i) * time.Second))
@@ -59,9 +69,8 @@ func TestHistoryRingWraps(t *testing.T) {
 }
 
 func TestHistoryDeltaAndMax(t *testing.T) {
-	h := NewHistory(time.Second, time.Minute)
 	v := 0.0
-	h.Register("counter_total", func() float64 { return v })
+	h := gaugeHistory(time.Second, time.Minute, "counter_total", func() float64 { return v })
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	for i, val := range []float64{5, 9, 100, 40} {
 		v = val
@@ -81,10 +90,9 @@ func TestHistoryDeltaAndMax(t *testing.T) {
 }
 
 func TestHistorySanitizesNonFinite(t *testing.T) {
-	h := NewHistory(time.Second, time.Minute)
 	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
 	i := 0
-	h.Register("weird_series", func() float64 { v := vals[i%len(vals)]; i++; return v })
+	h := gaugeHistory(time.Second, time.Minute, "weird_series", func() float64 { v := vals[i%len(vals)]; i++; return v })
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	for k := 0; k < 3; k++ {
 		h.Tick(base.Add(time.Duration(k) * time.Second))
@@ -105,9 +113,10 @@ func TestHistorySanitizesNonFinite(t *testing.T) {
 }
 
 func TestHistoryWriteJSONShape(t *testing.T) {
-	h := NewHistory(10*time.Second, time.Minute)
-	h.Register("series_a", func() float64 { return 1 })
-	h.Register("series_b", func() float64 { return 2 })
+	r := NewRegistry()
+	addGauge(r, "series_a", func() float64 { return 1 })
+	addGauge(r, "series_b", func() float64 { return 2 })
+	h := NewHistory(10*time.Second, time.Minute, r)
 	h.Tick(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 
 	var buf bytes.Buffer
@@ -136,8 +145,7 @@ func TestHistoryWriteJSONShape(t *testing.T) {
 }
 
 func TestHistorySubscribe(t *testing.T) {
-	h := NewHistory(time.Second, time.Minute)
-	h.Register("sub_series", func() float64 { return 42 })
+	h := gaugeHistory(time.Second, time.Minute, "sub_series", func() float64 { return 42 })
 	ch, cancel := h.Subscribe(2)
 	snap := h.Tick(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	got := <-ch
@@ -154,8 +162,7 @@ func TestHistorySubscribe(t *testing.T) {
 // TestHistorySubscribeChurn is the -race test for concurrent
 // subscribe/unsubscribe while the tick loop fans out.
 func TestHistorySubscribeChurn(t *testing.T) {
-	h := NewHistory(time.Second, time.Minute)
-	h.Register("churn_series", func() float64 { return 1 })
+	h := gaugeHistory(time.Second, time.Minute, "churn_series", func() float64 { return 1 })
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -194,29 +201,56 @@ func TestHistorySubscribeChurn(t *testing.T) {
 	wg.Wait()
 }
 
+// TestHistoryRegisterHistogramAndCounter checks a summary family
+// feeds its _p50_ns, _p99_ns and _count series and a counter family
+// its own name.
 func TestHistoryRegisterHistogramAndCounter(t *testing.T) {
-	h := NewHistory(time.Second, time.Minute)
-	hist := NewHistogram("reg_test_duration")
+	var hist Histogram
 	hist.Observe(100 * time.Millisecond)
-	c := NewCounter("reg_test_total")
+	var c Counter
 	c.Add(7)
-	h.RegisterHistogram(hist)
-	h.RegisterCounter(c)
+	r := NewRegistry()
+	r.Add(Family{Name: "reg_test_duration", Kind: KindSummary, Collect: CollectHistogram(&hist)})
+	r.Add(Family{Name: "reg_test_total", Kind: KindCounter, Collect: CollectInt(c.Value)})
+	h := NewHistory(time.Second, time.Minute, r)
 	snap := h.Tick(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	if snap.Values["reg_test_duration_count"] != 1 {
 		t.Fatalf("histogram count series = %v", snap.Values)
 	}
-	if snap.Values["reg_test_duration_p99_ns"] <= 0 {
-		t.Fatalf("histogram p99 series = %v", snap.Values)
+	if snap.Values["reg_test_duration_p50_ns"] <= 0 || snap.Values["reg_test_duration_p99_ns"] <= 0 {
+		t.Fatalf("histogram quantile series = %v", snap.Values)
 	}
 	if snap.Values["reg_test_total"] != 7 {
 		t.Fatalf("counter series = %v", snap.Values)
 	}
+	if got := h.Names(); len(got) != 4 {
+		t.Fatalf("series = %v, want 3 summary series and 1 counter", got)
+	}
+}
+
+// TestHistoryFamilyReadsHistory checks a family may read the history
+// that collects it: collection runs outside the store lock.
+func TestHistoryFamilyReadsHistory(t *testing.T) {
+	var h *History
+	n := 0.0
+	r := NewRegistry()
+	addGauge(r, "base_series", func() float64 { n++; return n })
+	addGauge(r, "derived_series", func() float64 {
+		mx, _ := h.Max("base_series", time.Time{})
+		return mx
+	})
+	h = NewHistory(time.Second, time.Minute, r)
+	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	h.Tick(base)
+	snap := h.Tick(base.Add(time.Second))
+	// The derived gauge reads the rings before this tick's samples land.
+	if snap.Values["derived_series"] != 1 {
+		t.Fatalf("derived_series = %v, want 1", snap.Values["derived_series"])
+	}
 }
 
 func TestRegisterRuntimeSeries(t *testing.T) {
-	h := NewHistory(time.Second, time.Minute)
-	RegisterRuntimeSeries(h)
+	h := NewHistory(time.Second, time.Minute, NewRuntimeRegistry())
 	snap := h.Tick(time.Now())
 	if snap.Values["runtime_heap_bytes"] <= 0 {
 		t.Fatalf("runtime_heap_bytes = %v, want > 0", snap.Values["runtime_heap_bytes"])
@@ -231,14 +265,16 @@ func TestRegisterRuntimeSeries(t *testing.T) {
 	}
 }
 
+// BenchmarkSnapshotTick is one metrics-history snapshot cycle at
+// production scale: the runtime collector plus 20 summaries.
 func BenchmarkSnapshotTick(b *testing.B) {
-	h := NewHistory(10*time.Second, time.Hour)
-	RegisterRuntimeSeries(h)
+	r := NewRegistry()
 	for i := 0; i < 20; i++ {
-		hist := NewHistogram(fmt.Sprintf("bench_hist_%d", i))
+		hist := new(Histogram)
 		hist.Observe(time.Millisecond)
-		h.RegisterHistogram(hist)
+		r.Add(Family{Name: fmt.Sprintf("bench_hist_%d", i), Kind: KindSummary, Collect: CollectHistogram(hist)})
 	}
+	h := NewHistory(10*time.Second, time.Hour, NewRuntimeRegistry(), r)
 	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	b.ReportAllocs()
 	b.ResetTimer()

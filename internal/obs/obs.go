@@ -2,6 +2,9 @@
 // context-propagated tracing spans exportable as Chrome trace_event
 // JSON, lock-cheap log-bucketed latency histograms with quantile
 // estimation, a leveled key=value logger, and request-ID plumbing.
+// A Registry names each metric family once; Prometheus exposition
+// (WritePrometheus) and the in-process metrics History both iterate
+// it, so no exporter spells a series name of its own.
 //
 // The package deliberately depends on nothing but the standard
 // library, so every layer — internal/engine, internal/service, the

@@ -5,51 +5,46 @@ import (
 	"runtime/metrics"
 )
 
-// runtimeSeries maps each exported history series onto the
-// runtime/metrics sample it reads. Heap and goroutine pressure, GC
-// pause and scheduler latency tails, and the GC cycle counter are the
-// five signals that explain almost every "the service got slow but
-// the endpoints look fine" incident.
-var runtimeSeries = []struct {
-	name   string // history series, snake_case
+// runtimeGauges maps each runtime gauge onto the runtime/metrics
+// sample it reads. Heap and goroutine pressure, GC pause and scheduler
+// latency tails, and the GC cycle counter are the five signals that
+// explain almost every "the service got slow but the endpoints look
+// fine" incident.
+var runtimeGauges = []struct {
+	name   string // family name, snake_case
 	metric string // runtime/metrics key
-	p99    bool   // true: metric is a histogram, sample its p99
 	scale  float64
 }{
 	{name: "runtime_heap_bytes", metric: "/memory/classes/heap/objects:bytes"},
 	{name: "runtime_goroutines", metric: "/sched/goroutines:goroutines"},
 	{name: "runtime_gc_cycles", metric: "/gc/cycles/total:gc-cycles"},
-	{name: "runtime_gc_pause_p99_ns", metric: "/gc/pauses:seconds", p99: true, scale: 1e9},
-	{name: "runtime_sched_latency_p99_ns", metric: "/sched/latencies:seconds", p99: true, scale: 1e9},
+	{name: "runtime_gc_pause_p99_ns", metric: "/gc/pauses:seconds", scale: 1e9},
+	{name: "runtime_sched_latency_p99_ns", metric: "/sched/latencies:seconds", scale: 1e9},
 }
 
-// RegisterRuntimeSeries registers the Go runtime collector's series on
-// h. Each sampler reads exactly one runtime/metrics sample per tick
-// (~µs); a metric the running toolchain does not export samples as 0
-// rather than failing the tick.
-func RegisterRuntimeSeries(h *History) {
-	for _, rs := range runtimeSeries {
-		rs := rs
-		sample := make([]metrics.Sample, 1)
-		sample[0].Name = rs.metric
-		h.Register(rs.name, func() float64 {
+// NewRuntimeRegistry returns a registry of the Go runtime collector's
+// five gauges (histogram metrics report their p99, scaled to ns). Each
+// collect reads exactly one runtime/metrics sample (~µs); a metric the
+// running toolchain does not export reads as 0 rather than failing.
+func NewRuntimeRegistry() *Registry {
+	r := NewRegistry()
+	for _, rg := range runtimeGauges {
+		sample := []metrics.Sample{{Name: rg.metric}}
+		r.Add(Family{Name: rg.name, Kind: KindGauge, Collect: func(emit func(Point)) {
 			metrics.Read(sample)
+			var v float64
 			switch sample[0].Value.Kind() {
 			case metrics.KindUint64:
-				return float64(sample[0].Value.Uint64())
+				v = float64(sample[0].Value.Uint64())
 			case metrics.KindFloat64:
-				return sample[0].Value.Float64()
+				v = sample[0].Value.Float64()
 			case metrics.KindFloat64Histogram:
-				v := histQuantile(sample[0].Value.Float64Histogram(), 0.99)
-				if rs.scale != 0 {
-					v *= rs.scale
-				}
-				return v
-			default:
-				return 0
+				v = histQuantile(sample[0].Value.Float64Histogram(), 0.99) * rg.scale
 			}
-		})
+			emit(Point{Value: v})
+		}})
 	}
+	return r
 }
 
 // histQuantile estimates the q-quantile of a runtime/metrics

@@ -54,6 +54,7 @@ type endpoint[Req, Res any] struct {
 // concurrent identical requests share exactly one evaluation — the
 // laggards wait for the first run instead of repeating it.
 func handle[Req, Res any](s *Server, ep endpoint[Req, Res]) http.HandlerFunc {
+	stats := s.metrics.endpoint(ep.name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			httpError(w, http.StatusMethodNotAllowed, "use POST")
@@ -94,7 +95,7 @@ func handle[Req, Res any](s *Server, ep endpoint[Req, Res]) http.HandlerFunc {
 			ri.key = keyHash(key)
 		}
 		resp, shared, err := s.cache.Do(r.Context(), key, func(ctx context.Context) (cachedResponse, error) {
-			s.metrics.evaluations(ep.name).Add(1)
+			stats.evaluations.Add(1)
 			res, err := ep.run(ctx, req)
 			if err != nil {
 				return cachedResponse{}, err

@@ -3,71 +3,80 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
-	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tradeoff/internal/obs"
 )
 
-// metrics holds the server's counters. The vars are per-Server (not
-// published to the global expvar registry) so tests and embedders can
-// run several servers without name collisions. GET /metrics renders
-// them in expvar's JSON format; ?format=prom renders the same state
-// as Prometheus text exposition (see prom.go), where the request
-// duration histograms additionally report p50/p95/p99.
+// metrics holds the server's instruments. They are per-Server, so
+// tests and embedders can run several servers side by side. Each is
+// named once, on the server's obs.Registry (registerMetrics), which
+// renders GET /metrics?format=prom and feeds the metrics history; the
+// default JSON document is rendered by hand from the same instruments
+// (writeMetricsJSON).
 type metrics struct {
-	requests    expvar.Int // requests accepted, all endpoints
-	errors      expvar.Int // responses with status >= 400
-	cacheHits   expvar.Int // memoization hits (cache or shared flight)
-	cacheMisses expvar.Int // memoization misses
-	inFlight    expvar.Int // requests currently being served
-	endpoints   expvar.Map // per-endpoint requests/errors/latency/durations
+	requests    obs.Counter  // requests accepted, all endpoints
+	errors      obs.Counter  // responses with status >= 400
+	cacheHits   obs.Counter  // memoization hits (cache or shared flight)
+	cacheMisses obs.Counter  // memoization misses
+	inFlight    atomic.Int64 // requests currently being served
 
-	// durations holds one obs histogram per endpoint — the single
-	// source for the duration_count / duration_ns_total /
-	// duration_ns_max expvar triple (derived views, see histVar) and
-	// the Prometheus duration summary with quantiles.
-	durationsMu sync.Mutex
-	durations   map[string]*obs.Histogram
+	// endpoints holds one endpointStats per instrumented route, sorted
+	// by route. endpoint replaces the slice rather than mutating it, so
+	// collectors range over a snapshot without holding endpointsMu.
+	endpointsMu sync.Mutex
+	endpoints   []*endpointStats
 
 	// xval is the latest cross-validation sample per workload from the
-	// continuous model-vs-exact loop (Server.RunXVal), plus the pass
-	// counter; rendered as live error gauges in both formats.
+	// continuous model-vs-exact loop (Server.RunXVal); xvalPasses
+	// counts the passes.
 	xvalMu     sync.Mutex
 	xval       map[string]xvalSample
-	xvalPasses int64
-
-	// engine carries the engine-level instruments (queue wait,
-	// evaluation time, memo outcomes); the request middleware threads
-	// it into every request context so engine.Map and engine.Memo
-	// record into it. Wired by New.
-	engine *obs.EngineStats
-
-	// cacheBytes reads the response memo's live byte total — the gauge
-	// behind the byte-bounded LRU. Wired by New.
-	cacheBytes func() int64
-
-	// sloJSON and sloProm render the SLO layer's burn-rate state into
-	// the two /metrics formats. Both are nil unless the server was
-	// configured with objectives, which keeps the default output —
-	// including the Prometheus golden — byte-identical to a server
-	// without an SLO layer. Wired by New.
-	sloJSON func() []byte
-	sloProm func(*bytes.Buffer)
+	xvalPasses obs.Counter
 }
 
 func newMetrics() *metrics {
-	m := &metrics{
-		durations: make(map[string]*obs.Histogram),
-		xval:      make(map[string]xvalSample),
+	return &metrics{xval: make(map[string]xvalSample)}
+}
+
+// endpointStats is one route's instruments.
+type endpointStats struct {
+	route       string
+	labels      []string    // {route}: the endpoint label value
+	requests    obs.Counter // requests the route accepted
+	errors      obs.Counter // its responses with status >= 400
+	evaluations obs.Counter // runs of its evaluation: requests - evaluations is what the memo absorbed
+	duration    obs.Histogram
+}
+
+// endpoint returns (creating on first use) the route's instruments.
+func (m *metrics) endpoint(route string) *endpointStats {
+	m.endpointsMu.Lock()
+	defer m.endpointsMu.Unlock()
+	eps := m.endpoints
+	i, found := slices.BinarySearchFunc(eps, route, func(ep *endpointStats, route string) int {
+		return strings.Compare(ep.route, route)
+	})
+	if found {
+		return eps[i]
 	}
-	m.endpoints.Init()
-	return m
+	ep := &endpointStats{route: route, labels: []string{route}}
+	m.endpoints = slices.Insert(slices.Clip(eps), i, ep) // Clip: insert into a copy
+	return ep
+}
+
+// endpointList returns the routes' instruments sorted by route.
+func (m *metrics) endpointList() []*endpointStats {
+	m.endpointsMu.Lock()
+	defer m.endpointsMu.Unlock()
+	return m.endpoints
 }
 
 // xvalSample is one workload's latest cross-validation outcome: the
@@ -85,14 +94,14 @@ type xvalSample struct {
 // pass counter.
 func (m *metrics) recordXVal(workload string, s xvalSample) {
 	m.xvalMu.Lock()
-	defer m.xvalMu.Unlock()
 	m.xval[workload] = s
-	m.xvalPasses++
+	m.xvalMu.Unlock()
+	m.xvalPasses.Add(1)
 }
 
-// xvalSnapshot copies the current cross-validation state: the pass
-// count and the samples in sorted workload order.
-func (m *metrics) xvalSnapshot() (int64, []string, []xvalSample) {
+// xvalSnapshot copies the current cross-validation samples in sorted
+// workload order.
+func (m *metrics) xvalSnapshot() ([]string, []xvalSample) {
 	m.xvalMu.Lock()
 	defer m.xvalMu.Unlock()
 	names := make([]string, 0, len(m.xval))
@@ -104,68 +113,71 @@ func (m *metrics) xvalSnapshot() (int64, []string, []xvalSample) {
 	for i, name := range names {
 		samples[i] = m.xval[name]
 	}
-	return m.xvalPasses, names, samples
+	return names, samples
 }
 
-// duration returns (creating on first use) the endpoint's request
-// duration histogram.
-func (m *metrics) duration(name string) *obs.Histogram {
-	m.durationsMu.Lock()
-	defer m.durationsMu.Unlock()
-	h, ok := m.durations[name]
-	if !ok {
-		h = obs.NewHistogram("request_duration")
-		m.durations[name] = h
+// registerMetrics names every server instrument on s.reg, in the
+// order the Prometheus exposition renders them: the service counters
+// and gauges, the cross-validation gauges, the per-endpoint counters
+// and durations, the engine instruments and, when objectives are
+// configured, the SLO gauges.
+func (s *Server) registerMetrics() {
+	r, m := s.reg, s.metrics
+	counter := func(name, help string, v func() int64) {
+		r.Add(obs.Family{Name: name, Help: help, Kind: obs.KindCounter, Collect: obs.CollectInt(v)})
 	}
-	return h
-}
-
-// endpointVars returns (creating on first use) the per-endpoint
-// counter map: requests, errors and evaluations as counters, plus
-// latency_us_total and the request-duration triple (count / total ns
-// / max ns) as views derived from the endpoint's duration histogram —
-// the same JSON keys the triple always had, now backed by one
-// instrument that can also estimate quantiles.
-func (m *metrics) endpointVars(name string) *expvar.Map {
-	if v := m.endpoints.Get(name); v != nil {
-		return v.(*expvar.Map)
+	gauge := func(name, help string, v func() int64) {
+		r.Add(obs.Family{Name: name, Help: help, Kind: obs.KindGauge, Collect: obs.CollectInt(v)})
 	}
-	h := m.duration(name)
-	em := new(expvar.Map).Init()
-	em.Set("requests", new(expvar.Int))
-	em.Set("errors", new(expvar.Int))
-	em.Set("evaluations", new(expvar.Int))
-	em.Set("latency_us_total", histVar{h, func(h *obs.Histogram) int64 { return h.Sum().Microseconds() }})
-	em.Set("duration_count", histVar{h, (*obs.Histogram).Count})
-	em.Set("duration_ns_total", histVar{h, func(h *obs.Histogram) int64 { return h.Sum().Nanoseconds() }})
-	em.Set("duration_ns_max", histVar{h, func(h *obs.Histogram) int64 { return h.Max().Nanoseconds() }})
-	m.endpoints.Set(name, em)
-	return m.endpoints.Get(name).(*expvar.Map)
+	counter("requests_total", "Requests accepted across all endpoints.", m.requests.Value)
+	counter("errors_total", "Responses with status >= 400.", m.errors.Value)
+	counter("cache_hits", "Response-memo hits (cache or shared flight).", m.cacheHits.Value)
+	counter("cache_misses", "Response-memo misses.", m.cacheMisses.Value)
+	gauge("cache_bytes", "Bytes held by the response memo.", s.cache.Bytes)
+	gauge("in_flight", "Requests currently being served.", m.inFlight.Load)
+
+	counter("xval_passes_total", "Cross-validation passes completed by the model-vs-exact loop.", m.xvalPasses.Value)
+	for _, g := range []struct {
+		name, help string
+		get        func(xvalSample) float64
+	}{
+		{"xval_max_abs_error", "Largest |model - exact| hit-ratio error of the workload's latest validation pass.", func(s xvalSample) float64 { return s.MaxAbs }},
+		{"xval_mean_abs_error", "Mean |model - exact| hit-ratio error of the workload's latest validation pass.", func(s xvalSample) float64 { return s.MeanAbs }},
+		{"xval_error_budget", "Committed hit-ratio error budget for the workload (model.ErrorBound).", func(s xvalSample) float64 { return s.Budget }},
+	} {
+		r.Add(obs.Family{Name: g.name, Help: g.help, Kind: obs.KindGauge, Labels: []string{"workload"}, Collect: func(emit func(obs.Point)) {
+			names, samples := m.xvalSnapshot()
+			for i := range names {
+				emit(obs.Point{Labels: names[i : i+1], Value: g.get(samples[i])})
+			}
+		}})
+	}
+
+	for _, c := range []struct {
+		name string
+		get  func(*endpointStats) *obs.Counter
+	}{
+		{"endpoint_requests", func(ep *endpointStats) *obs.Counter { return &ep.requests }},
+		{"endpoint_errors", func(ep *endpointStats) *obs.Counter { return &ep.errors }},
+		{"endpoint_evaluations", func(ep *endpointStats) *obs.Counter { return &ep.evaluations }},
+	} {
+		r.Add(obs.Family{Name: c.name, Kind: obs.KindCounter, Labels: []string{"endpoint"}, Collect: func(emit func(obs.Point)) {
+			for _, ep := range m.endpointList() {
+				emit(obs.Point{Labels: ep.labels, Value: float64(c.get(ep).Value())})
+			}
+		}})
+	}
+	r.Add(obs.Family{Name: "request_duration", Help: "Request duration by endpoint.", Kind: obs.KindSummary, Labels: []string{"endpoint"}, Collect: func(emit func(obs.Point)) {
+		for _, ep := range m.endpointList() {
+			emit(obs.Point{Labels: ep.labels, Hist: &ep.duration})
+		}
+	}})
+
+	s.stats.Register(r)
+	if len(s.opts.SLOs) > 0 {
+		registerSLO(r, func() []sloStatus { return s.sloStatuses(s.now()) })
+	}
 }
-
-// evaluations returns the endpoint's actual-evaluation counter — it
-// advances only when an endpoint's run function executes, so
-// (requests - evaluations) is the work the memo and its singleflight
-// absorbed.
-func (m *metrics) evaluations(name string) *expvar.Int {
-	return m.endpointVars(name).Get("evaluations").(*expvar.Int)
-}
-
-// histVar renders one scalar view of a histogram as an expvar.Var, so
-// the expvar JSON document keeps its historical duration keys while
-// the histogram is the only thing instrument updates.
-type histVar struct {
-	h *obs.Histogram
-	f func(*obs.Histogram) int64
-}
-
-func (v histVar) String() string { return strconv.FormatInt(v.f(v.h), 10) }
-
-// rawVar renders pre-marshaled JSON as an expvar.Var, so composite
-// documents (the xval sample map) slot into the hand-built doc.
-type rawVar []byte
-
-func (v rawVar) String() string { return string(v) }
 
 // statusWriter captures the response status for error accounting
 // while keeping the wrapped writer's optional interfaces reachable:
@@ -203,21 +215,19 @@ func (w *statusWriter) Flush() {
 }
 
 // instrument wraps an endpoint handler with request, error, in-flight
-// and duration accounting under the given endpoint name — the one
-// place every route's timing flows through. A panicking handler does
-// not distort the gauges: the deferred accounting restores in_flight,
-// counts the request as a 500 and re-panics for the server's own
-// recovery.
-func (m *metrics) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	ep := m.endpointVars(name)
-	dur := m.duration(name)
+// and duration accounting under the given route — the one place every
+// route's timing flows through. A panicking handler does not distort
+// the gauges: the deferred accounting restores in_flight, counts the
+// request as a 500 and re-panics for the server's own recovery.
+func (m *metrics) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	ep := m.endpoint(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		m.requests.Add(1)
 		m.inFlight.Add(1)
-		ep.Get("requests").(*expvar.Int).Add(1)
+		ep.requests.Add(1)
 		if ri := reqInfoFrom(r.Context()); ri != nil {
-			ri.endpoint = name // the wide-event log's endpoint dimension
+			ri.endpoint = route // the wide-event log's endpoint dimension
 		}
 
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
@@ -230,9 +240,9 @@ func (m *metrics) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 			}
 			if status >= 400 {
 				m.errors.Add(1)
-				ep.Get("errors").(*expvar.Int).Add(1)
+				ep.errors.Add(1)
 			}
-			dur.Observe(time.Since(start))
+			ep.duration.Observe(time.Since(start))
 			if p != nil {
 				panic(p)
 			}
@@ -241,9 +251,9 @@ func (m *metrics) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// serveHTTP renders the counters: expvar-style JSON by default,
-// Prometheus text exposition with ?format=prom.
-func (m *metrics) serveHTTP(w http.ResponseWriter, r *http.Request) {
+// handleMetrics serves GET /metrics: the JSON document by default,
+// Prometheus text exposition of the registry with ?format=prom.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
@@ -251,55 +261,50 @@ func (m *metrics) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	switch f := r.URL.Query().Get("format"); f {
 	case "", "json":
 	case "prom":
-		m.servePrometheus(w)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		_ = s.reg.WritePrometheus(w, "tradeoffd_") // a failed write means the client left
 		return
 	default:
 		http.Error(w, fmt.Sprintf("unknown format %q (want json or prom)", f), http.StatusBadRequest)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	var cacheBytes expvar.Int
-	if m.cacheBytes != nil {
-		cacheBytes.Set(m.cacheBytes())
+	var buf bytes.Buffer
+	s.writeMetricsJSON(&buf)
+	_, _ = w.Write(buf.Bytes()) // a failed write means the client left
+}
+
+// writeMetricsJSON renders the default /metrics document: one key per
+// line in sorted order, the endpoints nested by route (each route's
+// counters and its duration count, total, max and microsecond total),
+// the latest cross-validation samples under "xval" and, when
+// objectives are configured, their burn-rate state under "slo".
+func (s *Server) writeMetricsJSON(buf *bytes.Buffer) {
+	m := s.metrics
+	fmt.Fprintf(buf, "{\n\"cache_bytes\": %d,\n\"cache_hits\": %d,\n\"cache_misses\": %d,\n\"endpoints\": {",
+		s.cache.Bytes(), m.cacheHits.Value(), m.cacheMisses.Value())
+	for i, ep := range m.endpointList() {
+		if i > 0 {
+			buf.WriteString(", ")
+		}
+		fmt.Fprintf(buf, "%q: {\"duration_count\": %d, \"duration_ns_max\": %d, \"duration_ns_total\": %d, \"errors\": %d, \"evaluations\": %d, \"latency_us_total\": %d, \"requests\": %d}",
+			ep.route, ep.duration.Count(), ep.duration.Max().Nanoseconds(), ep.duration.Sum().Nanoseconds(),
+			ep.errors.Value(), ep.evaluations.Value(), ep.duration.Sum().Microseconds(), ep.requests.Value())
 	}
-	passes, _, _ := m.xvalSnapshot()
-	var xvalPasses expvar.Int
-	xvalPasses.Set(passes)
+	fmt.Fprintf(buf, "},\n\"errors_total\": %d,\n\"in_flight\": %d,\n\"requests_total\": %d,\n",
+		m.errors.Value(), m.inFlight.Load(), m.requests.Value())
+	if len(s.opts.SLOs) > 0 {
+		slo, err := json.Marshal(s.sloStatuses(s.now()))
+		if err != nil {
+			slo = []byte("[]")
+		}
+		fmt.Fprintf(buf, "\"slo\": %s,\n", slo)
+	}
 	m.xvalMu.Lock()
-	xvalDoc, err := json.Marshal(m.xval) // map keys render sorted
+	xval, err := json.Marshal(m.xval) // map keys render sorted
 	m.xvalMu.Unlock()
 	if err != nil {
-		xvalDoc = []byte("{}")
+		xval = []byte("{}")
 	}
-	vars := []struct {
-		name string
-		v    expvar.Var
-	}{
-		{"requests_total", &m.requests},
-		{"errors_total", &m.errors},
-		{"cache_hits", &m.cacheHits},
-		{"cache_misses", &m.cacheMisses},
-		{"cache_bytes", &cacheBytes},
-		{"in_flight", &m.inFlight},
-		{"endpoints", &m.endpoints},
-		{"xval_passes", &xvalPasses},
-		{"xval", rawVar(xvalDoc)},
-	}
-	if m.sloJSON != nil {
-		vars = append(vars, struct {
-			name string
-			v    expvar.Var
-		}{"slo", rawVar(m.sloJSON())})
-	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i].name < vars[j].name })
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "{\n")
-	for i, kv := range vars {
-		if i > 0 {
-			fmt.Fprintf(&buf, ",\n")
-		}
-		fmt.Fprintf(&buf, "%q: %s", kv.name, kv.v.String())
-	}
-	fmt.Fprintf(&buf, "\n}\n")
-	_, _ = w.Write(buf.Bytes()) // a failed write means the client left
+	fmt.Fprintf(buf, "\"xval\": %s,\n\"xval_passes\": %d\n}\n", xval, m.xvalPasses.Value())
 }

@@ -4,11 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -48,19 +46,7 @@ func TestHistoryEndpointGolden(t *testing.T) {
 		t.Fatalf("invalid JSON:\n%s", body)
 	}
 
-	path := filepath.Join("testdata", "history_golden.json")
-	if *updateGolden {
-		if err := os.WriteFile(path, body, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden (re-run with -update-golden?): %v", err)
-	}
-	if string(body) != string(want) {
-		t.Fatalf("history JSON differs from golden\ngot:\n%s\nwant:\n%s", body, want)
-	}
+	checkGolden(t, "history_golden.json", body)
 }
 
 func TestHistoryEndpointValidation(t *testing.T) {
@@ -95,23 +81,13 @@ func TestSLOPrometheusGolden(t *testing.T) {
 			LatencyBurn5m: 0.1, LatencyBurn1h: 0.2,
 		},
 	}
+	r := obs.NewRegistry()
+	registerSLO(r, func() []sloStatus { return sts })
 	var buf bytes.Buffer
-	promSLOGauges(&buf, sts)
-	body := buf.Bytes()
-
-	path := filepath.Join("testdata", "slo_golden.prom")
-	if *updateGolden {
-		if err := os.WriteFile(path, body, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := r.WritePrometheus(&buf, "tradeoffd_"); err != nil {
+		t.Fatal(err)
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden (re-run with -update-golden?): %v", err)
-	}
-	if string(body) != string(want) {
-		t.Fatalf("SLO exposition differs from golden\ngot:\n%s\nwant:\n%s", body, want)
-	}
+	checkGolden(t, "slo_golden.prom", buf.Bytes())
 }
 
 // TestSLOLayerLive drives the SLO layer end to end on hand-ticked
@@ -129,14 +105,13 @@ func TestSLOLayerLive(t *testing.T) {
 	s.now = func() time.Time { return now }
 	// 100 requests, 10 errors (10× the 1% budget), p99 ~16ms (16× the
 	// 1ms target) on /v1/tradeoff.
-	ep := s.metrics.endpointVars("/v1/tradeoff")
-	h := s.metrics.duration("/v1/tradeoff")
+	ep := s.metrics.endpoint("/v1/tradeoff")
 	s.history.Tick(obsBase)
 	for i := 0; i < 100; i++ {
-		h.Observe(16 * time.Millisecond)
+		ep.duration.Observe(16 * time.Millisecond)
 	}
-	ep.Get("requests").(*expvar.Int).Add(100)
-	ep.Get("errors").(*expvar.Int).Add(10)
+	ep.requests.Add(100)
+	ep.errors.Add(10)
 	s.history.Tick(obsBase.Add(10 * time.Second))
 	s.history.Tick(now)
 
@@ -154,7 +129,7 @@ func TestSLOLayerLive(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	s.metrics.serveHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	s.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
 	prom := rec.Body.String()
 	for _, want := range []string{
 		`tradeoffd_slo_latency_burn_rate{endpoint="/v1/tradeoff",window="5m"} `,
@@ -167,7 +142,7 @@ func TestSLOLayerLive(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	s.metrics.serveHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	s.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	var doc struct {
 		SLO []sloStatus `json:"slo"`
 	}
@@ -175,20 +150,113 @@ func TestSLOLayerLive(t *testing.T) {
 		t.Fatalf("metrics JSON: %v\n%s", err, rec.Body.String())
 	}
 	if len(doc.SLO) != 1 || !doc.SLO[0].Burning {
-		t.Fatalf("expvar slo doc = %+v", doc.SLO)
+		t.Fatalf("JSON slo doc = %+v", doc.SLO)
 	}
 
 	// No SLOs → no slo key in either document.
 	plain := New(Options{})
 	rec = httptest.NewRecorder()
-	plain.metrics.serveHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	plain.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	if strings.Contains(rec.Body.String(), `"slo"`) {
 		t.Fatalf("plain server leaks slo key:\n%s", rec.Body.String())
 	}
 	rec = httptest.NewRecorder()
-	plain.metrics.serveHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	plain.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
 	if strings.Contains(rec.Body.String(), "tradeoffd_slo_") {
 		t.Fatalf("plain server leaks slo gauges:\n%s", rec.Body.String())
+	}
+}
+
+// promSeries lists the history series every point of a Prometheus
+// exposition feeds, per obs.SeriesName: a counter or gauge point its
+// family name and label values, a summary point (one per set of
+// quantile lines) its _p50_ns, _p99_ns and _count series.
+func promSeries(t *testing.T, body, prefix string) []string {
+	t.Helper()
+	summaries := map[string]bool{}
+	var out []string
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if f := strings.Fields(rest); f[1] == "summary" {
+				summaries[f[0]] = true
+			}
+			continue
+		}
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		name, rest, _ := strings.Cut(strings.Fields(line)[0], "{")
+		var values []string
+		quantile := ""
+		if rest != "" {
+			for _, kv := range strings.Split(strings.TrimSuffix(rest, "}"), ",") {
+				k, v, _ := strings.Cut(kv, "=")
+				uv, err := strconv.Unquote(v)
+				if err != nil {
+					t.Fatalf("label %s in %q: %v", kv, line, err)
+				}
+				if k == "quantile" {
+					quantile = uv
+				} else {
+					values = append(values, uv)
+				}
+			}
+		}
+		family := strings.TrimPrefix(name, prefix)
+		switch {
+		case !summaries[name] && (summaries[strings.TrimSuffix(name, "_sum")] || summaries[strings.TrimSuffix(name, "_count")]):
+			// _sum and _count lines belong to the quantile lines' point.
+		case summaries[name] && quantile == "0.5":
+			family = strings.TrimSuffix(family, "_seconds")
+			for _, stat := range []string{"p50_ns", "p99_ns", "count"} {
+				out = append(out, obs.SeriesName(family, append(values, stat)...))
+			}
+		case !summaries[name]:
+			out = append(out, obs.SeriesName(family, values...))
+		}
+	}
+	return out
+}
+
+// TestHistoryCoversEveryFamily checks the history snapshots every
+// point of every /metrics family — SLO gauges and a cross-validation
+// sample included — and nothing but those and the runtime gauges,
+// and that the series the SLO layer reads are among them.
+func TestHistoryCoversEveryFamily(t *testing.T) {
+	slos, err := obs.ParseSLOs("tradeoff:p99<1ms,err<1%")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{SLOs: slos})
+	s.now = func() time.Time { return obsBase }
+	s.metrics.recordXVal("nasa7", xvalSample{LineSize: 32, MaxAbs: 0.0625, MeanAbs: 0.03125, Budget: 0.1, Within: true})
+	snap := s.history.Tick(obsBase)
+
+	var buf bytes.Buffer
+	if err := s.reg.WritePrometheus(&buf, "tradeoffd_"); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, name := range promSeries(t, buf.String(), "tradeoffd_") {
+		want[name] = true
+		if _, ok := snap.Values[name]; !ok {
+			t.Errorf("series %s has no history sample", name)
+		}
+	}
+	for _, name := range []string{
+		"request_duration_v1_tradeoff_p99_ns", "endpoint_requests_v1_tradeoff", "endpoint_errors_v1_tradeoff",
+		"request_duration_v1_tradeoff_p50_ns", "request_duration_v1_tradeoff_count",
+		"xval_max_abs_error_nasa7", "slo_burning_v1_tradeoff", "slo_latency_burn_rate_v1_tradeoff_5m",
+		"cache_hits", "engine_eval_duration_p99_ns",
+	} {
+		if !want[name] {
+			t.Errorf("exposition yields no series %s (have %v)", name, want)
+		}
+	}
+	for _, name := range s.history.Names() {
+		if !want[name] && !strings.HasPrefix(name, "runtime_") {
+			t.Errorf("history series %s matches no /metrics point", name)
+		}
 	}
 }
 

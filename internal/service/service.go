@@ -23,11 +23,11 @@
 //	                   the (delay, area, pins) Pareto frontier flagged
 //	                   → JSON or CSV
 //	GET  /healthz      liveness probe
-//	GET  /metrics      expvar counters: requests, errors, cache
+//	GET  /metrics      JSON counters: requests, errors, cache
 //	                   hits/misses/bytes, in-flight, per-endpoint
 //	                   latency and evaluation counts; ?format=prom
-//	                   renders the same state as Prometheus text with
-//	                   p50/p95/p99 request-duration quantiles
+//	                   renders the metrics registry as Prometheus text
+//	                   with p50/p95/p99 request-duration quantiles
 //	GET  /debug/pprof/ net/http/pprof profiling (only with
 //	                   Options.Pprof / tradeoffd -pprof)
 //
@@ -115,8 +115,8 @@ type Options struct {
 	HistoryInterval time.Duration
 	HistoryWindow   time.Duration
 	// SLOs holds the per-endpoint objectives behind the tradeoffd_slo_*
-	// gauges and burn-rate warnings; empty leaves /metrics output
-	// byte-identical to a server without an SLO layer.
+	// gauges and burn-rate warnings; empty registers no SLO family and
+	// leaves the slo key out of the JSON document.
 	SLOs []obs.SLO
 }
 
@@ -128,13 +128,15 @@ type cachedResponse struct {
 }
 
 // Server is the tradeoffd HTTP service: declarative endpoints over the
-// shared evaluation engines plus a response memo and expvar counters.
+// shared evaluation engines plus a response memo and a metrics
+// registry.
 type Server struct {
 	opts    Options
 	mux     *http.ServeMux
 	cache   *engine.Memo[cachedResponse]
 	metrics *metrics
 	stats   *obs.EngineStats
+	reg     *obs.Registry // every /metrics family, named once
 	runner  *simjob.Runner
 	curves  *mrc.CurveCache
 	models  *model.Cache
@@ -184,6 +186,7 @@ func New(opts Options) *Server {
 		}),
 		metrics: newMetrics(),
 		stats:   obs.NewEngineStats(),
+		reg:     obs.NewRegistry(),
 		runner:  simjob.NewRunner(),
 		// Miss-ratio curves survive across /v1/sweep requests: 64 curves
 		// (≈ a few sweeps' worth of line sizes) within 64 MiB.
@@ -193,8 +196,6 @@ func New(opts Options) *Server {
 		models: model.NewCache(64, 16<<20),
 		now:    time.Now,
 	}
-	s.metrics.cacheBytes = s.cache.Bytes
-	s.metrics.engine = s.stats
 	s.epoch = time.Now()
 	if opts.FlightSpans > 0 {
 		s.ring = obs.NewSpanRing(opts.FlightSpans)
@@ -202,13 +203,14 @@ func New(opts Options) *Server {
 			s.exemplars = obs.NewExemplars(opts.SlowKeep)
 		}
 	}
-	s.history = obs.NewHistory(opts.HistoryInterval, opts.HistoryWindow)
+	s.registerMetrics()
+	s.history = obs.NewHistory(opts.HistoryInterval, opts.HistoryWindow, obs.NewRuntimeRegistry(), s.reg)
 	s.mux.HandleFunc("/v1/tradeoff", s.metrics.instrument("/v1/tradeoff", handle(s, s.tradeoffEndpoint())))
 	s.mux.HandleFunc("/v1/sweep", s.metrics.instrument("/v1/sweep", handle(s, s.sweepEndpoint())))
 	s.mux.HandleFunc("/v1/stall", s.metrics.instrument("/v1/stall", handle(s, s.stallEndpoint())))
 	s.mux.HandleFunc("/v1/optimize", s.metrics.instrument("/v1/optimize", handle(s, s.optimizeEndpoint())))
 	s.mux.HandleFunc("/healthz", s.metrics.instrument("/healthz", s.handleHealthz))
-	s.mux.HandleFunc("/metrics", s.metrics.serveHTTP)
+	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	// The observability surface itself stays uninstrumented, like
 	// /metrics always has: meta-endpoints must not add series to the
 	// documents they serve (the Prometheus golden pins that the
@@ -218,11 +220,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("/debug/flight", s.handleFlight)
 	s.mux.HandleFunc("/debug/slow", s.handleSlow)
 	s.mux.HandleFunc("/debug/dash", s.handleDash)
-	s.registerSeries()
-	if len(opts.SLOs) > 0 {
-		s.metrics.sloJSON = func() []byte { return s.sloDoc(s.now()) }
-		s.metrics.sloProm = s.writeSLOProm
-	}
 	if opts.Pprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -330,7 +327,7 @@ func (s *Server) captureSlow(ri *reqInfo, id string, tracer *obs.Tracer, start t
 	if s.exemplars == nil || ri.endpoint == "" {
 		return
 	}
-	h := s.metrics.duration(ri.endpoint)
+	h := &s.metrics.endpoint(ri.endpoint).duration
 	if h.Count() < slowMinSamples {
 		return
 	}

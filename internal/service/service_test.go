@@ -470,7 +470,7 @@ func TestSweepSingleflight(t *testing.T) {
 			t.Fatalf("request %d returned different bytes than request 0", i)
 		}
 	}
-	if got := s.metrics.evaluations("/v1/sweep").Value(); got != 1 {
+	if got := s.metrics.endpoint("/v1/sweep").evaluations.Value(); got != 1 {
 		t.Fatalf("%d concurrent identical sweeps ran %d evaluations, want exactly 1", n, got)
 	}
 	if hits := s.CacheHits(); hits != n-1 {

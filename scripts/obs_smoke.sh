@@ -6,7 +6,8 @@
 # dashboard page, and the tradeoffd_slo_* Prometheus gauges.
 #
 # Run as `make obs-smoke` (or `make flight-smoke` for just the flight
-# half). CI runs it non-blocking, like bench-smoke and trace-smoke.
+# half). CI blocks on it: the history check polls for its tick instead
+# of sleeping a fixed time.
 set -eu
 
 PORT="${OBS_SMOKE_PORT:-18080}"
@@ -48,14 +49,24 @@ if [ "$ONLY" = "flight" ]; then
   exit 0
 fi
 
-# Metrics history: wait out one snapshot tick, then the requested
-# series must hold samples reflecting the traffic.
-sleep 1
-curl -fsS "$BASE/metrics/history?series=requests_total,errors_total&window=5m" \
-  | jq -e '(.interval_ms > 0)
-           and (.series.requests_total | length >= 1)
-           and (.series.requests_total[-1].v >= 41)
-           and (.series.errors_total[-1].v >= 1)' >/dev/null
+# Metrics history: poll (for at most 10 s) until a snapshot tick
+# reflects the traffic: the service counters, the per-route duration
+# series the SLO layer reads, and the SLO gauges themselves.
+series=requests_total,errors_total,request_duration_v1_tradeoff_p99_ns,slo_burning_v1_tradeoff
+ok=0
+deadline=$(($(date +%s) + 10))
+while [ "$(date +%s)" -lt "$deadline" ]; do
+  if curl -fsS "$BASE/metrics/history?series=$series&window=5m" \
+    | jq -e '(.interval_ms > 0)
+             and (.series.requests_total[-1].v >= 41)
+             and (.series.errors_total[-1].v >= 1)
+             and (.series.request_duration_v1_tradeoff_p99_ns[-1].v > 0)
+             and (.series.slo_burning_v1_tradeoff | length >= 1)' >/dev/null; then
+    ok=1; break
+  fi
+  sleep 0.1
+done
+[ "$ok" = 1 ] || { echo "obs-smoke: metrics history never reflected the traffic" >&2; exit 1; }
 
 # Exemplar store: a valid document; captures depend on timing, so only
 # the shape is asserted.
@@ -66,8 +77,10 @@ curl -fsS "$BASE/debug/slow" | jq -e '.kept >= 0 and (.exemplars | type == "arra
 curl -fsS "$BASE/debug/dash" | grep 'tradeoffd live' >/dev/null
 
 # SLO layer: burn-rate gauges on the Prometheus exposition and the slo
-# document on expvar.
+# document in the JSON one, beside the route's request counter.
 curl -fsS "$BASE/metrics?format=prom" | grep '^tradeoffd_slo_burning' >/dev/null
-curl -fsS "$BASE/metrics" | jq -e '.slo | type == "array" and length == 1' >/dev/null
+curl -fsS "$BASE/metrics" \
+  | jq -e '(.slo | type == "array" and length == 1)
+           and (.endpoints["/v1/tradeoff"].requests >= 41)' >/dev/null
 
 echo "obs-smoke: ok"
