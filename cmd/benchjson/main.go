@@ -124,10 +124,23 @@ var benchmarks = []struct {
 			}
 		}
 	}},
-	{"mrc_pass_20k", func(b *testing.B) {
+	{"trace_gen_20k", func(b *testing.B) {
+		// The layer a trace_gen span covers: one request's trace.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			c, err := mrc.ProfileSource(trace.MustWorkload("ear", 1), 20_000, 64)
+			if refs := trace.Collect(trace.MustWorkload("ear", 1), 20_000); len(refs) != 20_000 {
+				b.Fatalf("refs = %d, want 20000", len(refs))
+			}
+		}
+	}},
+	{"mrc_pass_20k", func(b *testing.B) {
+		// The layer an mrc_pass span covers: one exact profile of a
+		// trace already collected.
+		refs := trace.Collect(trace.MustWorkload("ear", 1), 20_000)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c, err := mrc.ProfileRefs(refs, 64)
 			if err != nil {
 				b.Fatal(err)
 			}

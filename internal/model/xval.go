@@ -99,7 +99,9 @@ func CrossValidate(ctx context.Context, workload string, seed uint64, refs, line
 	if err != nil {
 		return Report{}, err
 	}
-	exact, err := mrc.ProfileSource(src, refs, lineSize)
+	// One trace feeds both the exact profile and the replay leg.
+	tr := trace.Collect(src, refs)
+	exact, err := mrc.ProfileRefs(tr, lineSize)
 	if err != nil {
 		return Report{}, err
 	}
@@ -127,11 +129,7 @@ func CrossValidate(ctx context.Context, workload string, seed uint64, refs, line
 		if err != nil {
 			return Report{}, err
 		}
-		replaySrc, err := trace.NewWorkload(workload, seed)
-		if err != nil {
-			return Report{}, err
-		}
-		hr := cache.MeasureSource(sim, replaySrc, refs).HitRatio
+		hr := cache.Measure(sim, tr).HitRatio
 		diff := an.HitRatioAssoc(size, assoc) - hr
 		if diff < 0 {
 			diff = -diff

@@ -39,5 +39,6 @@ func NewAnalyticCurve(lineSize int, refs uint64, blocks int, hist map[uint64]flo
 	if total <= 0 {
 		return nil, fmt.Errorf("mrc: analytic histogram is empty")
 	}
-	return newCurve(lineSize, refs, blocks, false, 1, hist, cold), nil
+	dist, weight := sortHist(hist)
+	return newCurve(lineSize, refs, blocks, false, 1, dist, weight, cold), nil
 }

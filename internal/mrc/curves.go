@@ -9,10 +9,12 @@ import (
 	"tradeoff/internal/trace"
 )
 
-// Spec identifies one miss-ratio curve: a named workload profiled at
-// one line size for a bounded number of references, exactly or via
-// SHARDS sampling. Equal specs yield equal curves, which is what makes
-// the CurveCache memoization sound.
+// Spec identifies one miss-ratio curve: the first Refs references of a
+// named workload at Seed, profiled at one line size, exactly or via
+// SHARDS sampling. The caller supplies that trace (Profile,
+// CurveCache.Get), so one generated trace can serve every line size.
+// Equal specs yield equal curves, which is what makes the CurveCache
+// memoization sound.
 type Spec struct {
 	Workload string // one of trace.Workloads()
 	Seed     uint64 // workload generator seed
@@ -49,12 +51,11 @@ func (s Spec) key() string {
 	return fmt.Sprintf("%s|%d|%d|%d", s.Workload, s.Seed, s.Refs, s.LineSize)
 }
 
-// Profile performs the single trace pass the spec describes and
-// returns its curve. Each call streams the workload afresh — this is
-// the expensive step CurveCache exists to run once — and opens one
-// "mrc_pass" span, so a -trace export counts exactly the passes paid
-// for.
-func (s Spec) Profile(ctx context.Context) (*Curve, error) {
+// Profile performs the single pass the spec describes over refs,
+// which must be the spec's trace: the first Refs references of
+// Workload at Seed. It opens one "mrc_pass" span, so a -trace export
+// counts exactly the passes paid for.
+func (s Spec) Profile(ctx context.Context, refs []trace.Ref) (*Curve, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -64,20 +65,16 @@ func (s Spec) Profile(ctx context.Context) (*Curve, error) {
 	span.SetArg("refs", s.Refs)
 	span.SetArg("sampled", s.Sampled)
 	defer span.End()
-	src, err := trace.NewWorkload(s.Workload, s.Seed)
-	if err != nil {
-		return nil, err
-	}
 	if s.Sampled {
-		return ProfileSampledSource(src, s.Refs, s.LineSize, s.Sampler)
+		return ProfileSampledRefs(refs, s.LineSize, s.Sampler)
 	}
-	return ProfileSource(src, s.Refs, s.LineSize)
+	return ProfileRefs(refs, s.LineSize)
 }
 
 // CurveCache memoizes curves by Spec on an engine.Memo, so a sweep —
-// or concurrent sweeps sharing one cache — pays one trace pass per
-// distinct (workload, line size) spec, with singleflight collapsing
-// concurrent requests for the same spec.
+// or concurrent sweeps sharing one cache — pays one pass per distinct
+// (workload, line size) spec, with singleflight collapsing concurrent
+// requests for the same spec.
 type CurveCache struct {
 	memo *engine.Memo[*Curve]
 }
@@ -89,14 +86,21 @@ func NewCurveCache(maxEntries int, maxBytes int64) *CurveCache {
 	return &CurveCache{memo: engine.NewMemo(maxEntries, maxBytes, (*Curve).MemoryBytes)}
 }
 
-// Get returns the curve for spec, profiling it on first use. The
-// boolean reports whether the curve was shared (memo hit or joined
-// flight) rather than profiled by this call.
-func (cc *CurveCache) Get(ctx context.Context, spec Spec) (*Curve, bool, error) {
+// Get returns the curve for spec, profiling it on first use over the
+// trace refs returns (see Spec.Profile). refs is called only on a
+// miss, inside the memo flight and with its context, so a caller can
+// generate the trace lazily and share it across line sizes; a sweep
+// whose curves are all resident generates none. Flights for different
+// specs run concurrently, so refs must be safe for concurrent use.
+// The boolean reports whether the curve was shared (memo hit or
+// joined flight) rather than profiled by this call.
+func (cc *CurveCache) Get(ctx context.Context, spec Spec, refs func(context.Context) []trace.Ref) (*Curve, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, false, err
 	}
-	return cc.memo.Do(ctx, spec.key(), spec.Profile)
+	return cc.memo.Do(ctx, spec.key(), func(ctx context.Context) (*Curve, error) {
+		return spec.Profile(ctx, refs(ctx))
+	})
 }
 
 // Len returns the number of cached curves.

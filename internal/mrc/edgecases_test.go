@@ -11,10 +11,9 @@ import (
 // histogram with realistic distance spread, not a toy.
 func edgeCurve(t *testing.T) *Curve {
 	t.Helper()
-	src := trace.MustWorkload(trace.Ear, 1994)
-	c, err := ProfileSource(src, 20_000, 32)
+	c, err := ProfileRefs(trace.Collect(trace.MustWorkload(trace.Ear, 1994), 20_000), 32)
 	if err != nil {
-		t.Fatalf("ProfileSource: %v", err)
+		t.Fatalf("ProfileRefs: %v", err)
 	}
 	return c
 }

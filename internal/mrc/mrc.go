@@ -15,10 +15,13 @@
 //
 //   - Profiler measures exact stack distances. The classic algorithm
 //     walks an LRU stack (O(refs × stackDepth)); here an
-//     order-statistic index — a Fenwick tree over access-time slots,
-//     periodically renumbered so it never grows past twice the live
-//     block count — answers each distance in O(log uniqueBlocks), so
-//     one pass is O(refs × log uniqueBlocks).
+//     order-statistic index answers each distance in
+//     O(log uniqueBlocks), so one pass is O(refs × log uniqueBlocks):
+//     an open-addressing table finds a block's last access slot, and a
+//     Fenwick tree over 64-slot occupancy words counts the live slots
+//     after it. Slots are renumbered in place when they run out, so
+//     the index stays O(uniqueBlocks) in memory and allocates only
+//     when it doubles.
 //
 //   - SampledProfiler approximates the same curve by SHARDS-style
 //     spatial hashing (Waldspurger et al., FAST '15): only blocks
@@ -36,13 +39,16 @@
 //
 // The sweep engine consumes curves through CurveCache, which memoizes
 // one profiled Curve per (workload, line size) spec on an engine.Memo
-// and opens one "mrc_pass" span per actual trace pass, so a -trace
-// export shows exactly how many passes a sweep paid for.
+// and opens one "mrc_pass" span per actual pass, so a -trace export
+// shows exactly how many passes a sweep paid for. A miss profiles a
+// trace the caller hands over lazily, so one generated trace serves
+// every line size a request misses.
 package mrc
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -67,28 +73,37 @@ type Curve struct {
 	totalW float64   // weighted total references (== float64(Refs))
 }
 
-// newCurve reduces a distance→weight histogram to cumulative form.
+// newCurve reduces a histogram, given as ascending distances and
+// their weights, to cumulative form. The curve keeps both slices.
 func newCurve(lineSize int, refs uint64, blocks int, sampled bool, rate float64,
-	hist map[uint64]float64, cold float64) *Curve {
+	dist []uint64, weight []float64, cold float64) *Curve {
 	c := &Curve{
 		LineSize: lineSize, Refs: refs, Blocks: blocks,
 		Sampled: sampled, Rate: rate, coldW: cold,
+		dist: dist, weight: weight, cum: make([]float64, len(dist)),
 	}
-	c.dist = make([]uint64, 0, len(hist))
-	for d := range hist {
-		c.dist = append(c.dist, d)
-	}
-	sort.Slice(c.dist, func(i, j int) bool { return c.dist[i] < c.dist[j] })
-	c.weight = make([]float64, len(c.dist))
-	c.cum = make([]float64, len(c.dist))
 	sum := 0.0
-	for i, d := range c.dist {
-		c.weight[i] = hist[d]
-		sum += hist[d]
+	for i, w := range weight {
+		sum += w
 		c.cum[i] = sum
 	}
 	c.totalW = sum + cold
 	return c
+}
+
+// sortHist splits a distance→weight map into newCurve's ascending
+// form.
+func sortHist(hist map[uint64]float64) ([]uint64, []float64) {
+	dist := make([]uint64, 0, len(hist))
+	for d := range hist {
+		dist = append(dist, d)
+	}
+	slices.Sort(dist)
+	weight := make([]float64, len(dist))
+	for i, d := range dist {
+		weight[i] = hist[d]
+	}
+	return dist, weight
 }
 
 // rescale multiplies every weight by f — the SHARDS_adj correction
@@ -175,22 +190,24 @@ func (c *Curve) HitRatioAssoc(cacheSize, assoc int) float64 {
 		return c.HitRatio(cacheSize)
 	}
 	p := 1 / float64(sets)
+	logMiss := math.Log1p(-p)
 	hits := 0.0
 	for i, d := range c.dist {
-		hits += c.weight[i] * hitProb(d, assoc, p)
+		hits += c.weight[i] * hitProb(d, assoc, p, logMiss)
 	}
 	return hits / c.totalW
 }
 
 // hitProb is P[Binomial(d, p) ≤ assoc−1]: the probability that fewer
 // than assoc of the d intervening distinct blocks land in the
-// reference's set. Terms are accumulated iteratively from
+// reference's set. logMiss is log(1−p), which the caller computes
+// once per curve evaluation. Terms are accumulated iteratively from
 // (1−p)^d — stable for the p ≤ 1/2 this package produces (sets ≥ 2).
-func hitProb(d uint64, assoc int, p float64) float64 {
+func hitProb(d uint64, assoc int, p, logMiss float64) float64 {
 	if d < uint64(assoc) {
 		return 1
 	}
-	term := math.Exp(float64(d) * math.Log1p(-p))
+	term := math.Exp(float64(d) * logMiss)
 	sum := term
 	for j := 1; j < assoc; j++ {
 		term *= (float64(d) - float64(j-1)) / float64(j) * p / (1 - p)

@@ -3,6 +3,8 @@ package mrc
 import (
 	"context"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"tradeoff/internal/trace"
@@ -37,27 +39,104 @@ func (b *bruteStack) remove(block uint64) {
 }
 
 func TestStackTreeMatchesBruteForce(t *testing.T) {
+	// A working set of about 5,000 blocks doubles the table and the slot
+	// bits from their initial 1<<10 several times, with probe runs long
+	// enough for collisions; once the slot bits settle, the remaining
+	// accesses force in-place renumbers. Block numbers are random 64-bit
+	// values — a run of consecutive ones would hash without a single
+	// collision. Every 31st access removes a random block, which the
+	// uniform stream later re-accesses, so backward-shift deletion runs
+	// inside probe runs and its survivors must stay reachable.
+	const blocks = 5000
 	tree := newStackTree()
 	brute := &bruteStack{}
+	cells0, slots0 := len(tree.table), 64*len(tree.occ)
 	rng := uint64(0x9E3779B97F4A7C15)
-	// Enough accesses over enough blocks to force several renumber
-	// compactions of the initial 1<<10-slot array.
-	for i := 0; i < 20000; i++ {
+	xorshift := func() uint64 {
 		rng ^= rng << 13
 		rng ^= rng >> 7
 		rng ^= rng << 17
-		block := rng % 700
+		return rng
+	}
+	ids := make([]uint64, blocks)
+	for i := range ids {
+		ids[i] = xorshift()
+	}
+	inPlace := 0
+	for i := 0; i < 60000; i++ {
+		r := xorshift()
+		block := ids[r%blocks]
+		slots, next := len(tree.occ), tree.next
 		got, want := tree.access(block), brute.access(block)
 		if got != want {
 			t.Fatalf("access %d (block %d): stackTree distance %d, brute force %d", i, block, got, want)
 		}
-		if rng%31 == 0 {
-			victim := rng % 700
+		if len(tree.occ) == slots && tree.next < next {
+			inPlace++
+		}
+		if r%31 == 0 {
+			victim := ids[xorshift()%blocks]
 			tree.remove(victim)
 			brute.remove(victim)
 		}
 		if tree.blocks() != len(brute.stack) {
 			t.Fatalf("access %d: stackTree tracks %d blocks, brute force %d", i, tree.blocks(), len(brute.stack))
+		}
+	}
+	if len(tree.table) < 8*cells0 || 64*len(tree.occ) < 8*slots0 {
+		t.Errorf("table grew %d → %d cells and slots %d → %d, want both doubled at least 3 times",
+			cells0, len(tree.table), slots0, 64*len(tree.occ))
+	}
+	if inPlace < 3 {
+		t.Errorf("%d in-place renumbers, want at least 3", inPlace)
+	}
+	displaced := 0
+	for i, e := range tree.table {
+		if e.slot != 0 && tree.home(e.block) != i {
+			displaced++
+		}
+	}
+	if displaced == 0 {
+		t.Error("no table entry sits away from its home cell: probing never collided")
+	}
+}
+
+// TestProfileRefsMatchesBruteForce checks every field of an exact
+// curve against one built independently from bruteStack distances.
+func TestProfileRefsMatchesBruteForce(t *testing.T) {
+	for _, name := range trace.Workloads() {
+		refs := trace.Collect(trace.MustWorkload(name, 3), 3000)
+		for _, line := range []int{16, 32, 64, 128} {
+			got, err := ProfileRefs(refs, line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			brute := &bruteStack{}
+			counts := map[uint64]float64{}
+			want := &Curve{LineSize: line, Refs: uint64(len(refs)), Rate: 1}
+			for _, r := range refs {
+				if d := brute.access(r.Addr / uint64(line)); d < 0 {
+					want.coldW++
+				} else {
+					counts[uint64(d)]++
+				}
+			}
+			want.Blocks = len(brute.stack)
+			for d := range counts {
+				want.dist = append(want.dist, d)
+			}
+			slices.Sort(want.dist)
+			for _, d := range want.dist {
+				want.totalW += counts[d]
+				want.weight = append(want.weight, counts[d])
+				want.cum = append(want.cum, want.totalW)
+			}
+			want.totalW += want.coldW
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s at %d B lines: ProfileRefs curve differs from brute force:\n got  Refs=%d Blocks=%d cold=%g total=%g, %d distances\n want Refs=%d Blocks=%d cold=%g total=%g, %d distances",
+					name, line, got.Refs, got.Blocks, got.coldW, got.totalW, len(got.dist),
+					want.Refs, want.Blocks, want.coldW, want.totalW, len(want.dist))
+			}
 		}
 	}
 }
@@ -94,7 +173,7 @@ func TestProfilerSmallTrace(t *testing.T) {
 }
 
 func TestCurveMonotone(t *testing.T) {
-	c, err := ProfileSource(trace.MustWorkload(trace.Ear, 1), 30000, 32)
+	c, err := ProfileRefs(trace.Collect(trace.MustWorkload(trace.Ear, 1), 30000), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +252,12 @@ func TestSampledRateOneMatchesExact(t *testing.T) {
 	// At rate 1 with an unconstrained budget every block is tracked
 	// with weight 1, so the SHARDS curve degenerates to the exact one.
 	const refs, line = 20000, 64
-	exact, err := ProfileSource(trace.MustWorkload(trace.Swm256, 7), refs, line)
+	tr := trace.Collect(trace.MustWorkload(trace.Swm256, 7), refs)
+	exact, err := ProfileRefs(tr, line)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := ProfileSampledSource(trace.MustWorkload(trace.Swm256, 7), refs, line,
-		SamplerConfig{Rate: 1, Budget: 1 << 20})
+	sampled, err := ProfileSampledRefs(tr, line, SamplerConfig{Rate: 1, Budget: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,18 +299,21 @@ func TestSampledBudgetBoundsTracking(t *testing.T) {
 }
 
 func TestHitProb(t *testing.T) {
-	if got := hitProb(3, 4, 0.25); got != 1 {
+	hitProbAt := func(d uint64, assoc int, p float64) float64 {
+		return hitProb(d, assoc, p, math.Log1p(-p))
+	}
+	if got := hitProbAt(3, 4, 0.25); got != 1 {
 		t.Fatalf("hitProb(d<assoc)=%g, want 1", got)
 	}
 	// d=2, assoc=1, p=0.5: hit iff both intervening blocks avoid the
 	// set: 0.25.
-	if got, want := hitProb(2, 1, 0.5), 0.25; math.Abs(got-want) > 1e-12 {
+	if got, want := hitProbAt(2, 1, 0.5), 0.25; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("hitProb(2,1,0.5)=%g, want %g", got, want)
 	}
 	// Monotone: deeper distances cannot raise the hit probability.
 	prev := 1.0
 	for d := uint64(0); d < 200; d += 7 {
-		got := hitProb(d, 4, 1.0/16)
+		got := hitProbAt(d, 4, 1.0/16)
 		if got > prev+1e-12 {
 			t.Fatalf("hitProb not monotone at d=%d: %g after %g", d, got, prev)
 		}
@@ -242,8 +324,55 @@ func TestHitProb(t *testing.T) {
 	}
 }
 
+// hitRatioAssocRef is HitRatioAssoc's Smith correction written out with
+// log(1−p) evaluated at every distance: the reference the evaluator,
+// which computes it once per call, must match bit for bit.
+func hitRatioAssocRef(c *Curve, cacheSize, assoc int) float64 {
+	lines := cacheSize / c.LineSize
+	if assoc <= 0 || lines <= assoc || lines/assoc <= 1 {
+		return c.HitRatio(cacheSize)
+	}
+	p := 1 / float64(lines/assoc)
+	hits := 0.0
+	for i, d := range c.dist {
+		prob := 1.0
+		if d >= uint64(assoc) {
+			term := math.Exp(float64(d) * math.Log1p(-p))
+			sum := term
+			for j := 1; j < assoc; j++ {
+				term *= (float64(d) - float64(j-1)) / float64(j) * p / (1 - p)
+				sum += term
+			}
+			prob = math.Min(1, sum)
+		}
+		hits += c.weight[i] * prob
+	}
+	return hits / c.totalW
+}
+
+func TestHitRatioAssocMatchesReferenceBitForBit(t *testing.T) {
+	for _, name := range trace.Workloads() {
+		refs := trace.Collect(trace.MustWorkload(name, 5), 20000)
+		for _, line := range []int{16, 32, 64, 128} {
+			c, err := ProfileRefs(refs, line)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, size := range []int{1 << 10, 8 << 10, 24 << 10, 64 << 10} {
+				for _, assoc := range []int{1, 2, 3, 4, 8} {
+					got, want := c.HitRatioAssoc(size, assoc), hitRatioAssocRef(c, size, assoc)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s line %d size %d assoc %d: HitRatioAssoc %v, reference %v",
+							name, line, size, assoc, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestHitRatioAssocFallsBackToExact(t *testing.T) {
-	c, err := ProfileSource(trace.MustWorkload(trace.Ear, 3), 20000, 64)
+	c, err := ProfileRefs(trace.Collect(trace.MustWorkload(trace.Ear, 3), 20000), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,14 +426,19 @@ func TestSpecKeyDistinguishes(t *testing.T) {
 func TestCurveCacheMemoizes(t *testing.T) {
 	cc := NewCurveCache(0, 0)
 	spec := Spec{Workload: trace.Ear, Seed: 1, Refs: 5000, LineSize: 64}
-	c1, shared, err := cc.Get(context.Background(), spec)
+	collected := 0
+	refs := func(context.Context) []trace.Ref {
+		collected++
+		return trace.Collect(trace.MustWorkload(spec.Workload, spec.Seed), spec.Refs)
+	}
+	c1, shared, err := cc.Get(context.Background(), spec, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if shared {
 		t.Fatal("first Get reported shared")
 	}
-	c2, shared, err := cc.Get(context.Background(), spec)
+	c2, shared, err := cc.Get(context.Background(), spec, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,10 +448,16 @@ func TestCurveCacheMemoizes(t *testing.T) {
 	if c1 != c2 {
 		t.Fatal("memo returned a different curve")
 	}
+	if collected != 1 {
+		t.Fatalf("trace collected %d times, want once for the one miss", collected)
+	}
 	if cc.Len() != 1 {
 		t.Fatalf("cache holds %d curves, want 1", cc.Len())
 	}
-	if _, _, err := cc.Get(context.Background(), Spec{Workload: "nope", Refs: 1, LineSize: 64}); err == nil {
+	if _, _, err := cc.Get(context.Background(), Spec{Workload: "nope", Refs: 1, LineSize: 64}, refs); err == nil {
 		t.Fatal("invalid spec accepted")
+	}
+	if collected != 1 {
+		t.Fatal("an invalid spec collected a trace")
 	}
 }

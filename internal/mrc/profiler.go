@@ -1,138 +1,242 @@
 package mrc
 
 import (
+	"math/bits"
+
 	"tradeoff/internal/trace"
 )
 
 // stackTree is the order-statistic index behind both profilers: an
 // implicit LRU stack of tracked blocks whose stack-distance queries
-// run in O(log n). Each tracked block occupies one access-time slot;
-// a Fenwick (binary indexed) tree counts live slots, so the number of
-// distinct blocks touched since a given slot is one prefix-sum query.
-// Slots are consumed left to right; when they run out the live slots
-// are renumbered — and the array doubled only while more than half
-// its slots are live — so the index stays O(uniqueBlocks) in memory
-// and O(log uniqueBlocks) per access ("scaled tree"), not
-// O(log refs).
+// run in O(log n). Each tracked block occupies one access-time slot,
+// and a block's stack distance is the number of live slots after its
+// own. Two structures of flat arrays hold that state:
+//
+//   - occ keeps one occupancy bit per slot, 64 to a word, and a
+//     Fenwick (binary indexed) tree over the words' popcounts answers
+//     "live slots up to p" with one O(log words) walk plus one
+//     popcount;
+//   - table is an open-addressing (linear-probing, Fibonacci-hashed)
+//     block → slot map at most 3/4 full, so each access costs one
+//     find-or-insert probe; removal uses backward-shift deletion, so
+//     there are no tombstones.
+//
+// Slots are consumed left to right, and an access to the block that
+// already holds the newest slot (distance 0) consumes none. When
+// slots run out, renumber moves every block to its slot's rank among
+// the live ones, 1..live, in place, doubling the slot bits only while
+// more than half of them are live; the index therefore stays
+// O(uniqueBlocks) in memory and O(log uniqueBlocks) per access
+// ("scaled tree"), not O(log refs), and allocates only when the table
+// or the slot bits double.
 type stackTree struct {
-	tree  []int          // Fenwick counts over slots 1..len(tree)-1
-	slots []uint64       // slot → the block holding it (where occ)
-	occ   []bool         // slot → currently live
-	next  int            // next unused slot (1-based)
-	live  int            // tracked blocks (live slots)
-	last  map[uint64]int // block → its most recent slot
+	occ   []uint64    // bit p%64 of word p/64: slot p is live
+	fen   []int       // Fenwick tree over popcount(occ[w]) at index w+1
+	table []treeEntry // open-addressing block → slot table
+	shift uint        // 64 − log2(len(table)): Fibonacci hash shift
+	next  int         // next unused slot (1-based)
+	live  int         // tracked blocks (live slots, table entries)
 }
+
+// treeEntry is one table cell; slot 0 marks it empty, since slots are
+// numbered from 1.
+type treeEntry struct {
+	block uint64
+	slot  int
+}
+
+// maxLoadNum/maxLoadDen bounds the table's occupancy: 3/4 keeps linear
+// probing short while the table, the index's only per-block memory,
+// stays small.
+const maxLoadNum, maxLoadDen = 3, 4
 
 func newStackTree() *stackTree {
-	const n = 1 << 10
+	const slots, cells = 1 << 10, 1 << 10
 	return &stackTree{
-		tree:  make([]int, n),
-		slots: make([]uint64, n),
-		occ:   make([]bool, n),
+		occ:   make([]uint64, slots/64),
+		fen:   make([]int, slots/64+1),
+		table: make([]treeEntry, cells),
+		shift: 64 - 10,
 		next:  1,
-		last:  make(map[uint64]int),
 	}
 }
 
-func (t *stackTree) add(pos, delta int) {
-	for ; pos < len(t.tree); pos += pos & -pos {
-		t.tree[pos] += delta
+// home returns block's preferred table cell (Fibonacci hashing: the
+// top bits of the product with 2⁶⁴/φ spread runs of consecutive
+// blocks evenly).
+func (t *stackTree) home(block uint64) int {
+	return int((block * 0x9E3779B97F4A7C15) >> t.shift)
+}
+
+// add adds delta to word w's count in the Fenwick tree.
+//
+//perf:hot
+func (t *stackTree) add(w, delta int) {
+	for i := w + 1; i < len(t.fen); i += i & -i {
+		t.fen[i] += delta
 	}
 }
 
-func (t *stackTree) prefix(pos int) int {
-	s := 0
-	for ; pos > 0; pos -= pos & -pos {
-		s += t.tree[pos]
+// find returns the cell holding block, or else the empty cell that
+// ends block's probe run, where it belongs.
+//
+//perf:hot
+func (t *stackTree) find(block uint64) int {
+	mask := len(t.table) - 1
+	i := t.home(block)
+	for t.table[i].slot != 0 && t.table[i].block != block {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// kill clears live slot p.
+func (t *stackTree) kill(p int) {
+	t.occ[p>>6] &^= 1 << uint(p&63)
+	t.add(p>>6, -1)
+	t.live--
+}
+
+// rank returns the number of live slots in 1..p.
+//
+//perf:hot
+func (t *stackTree) rank(p int) int {
+	w := p >> 6
+	s := bits.OnesCount64(t.occ[w] << (63 - uint(p&63)))
+	for i := w; i > 0; i -= i & -i {
+		s += t.fen[i]
 	}
 	return s
 }
 
 // access moves block to the top of the LRU stack and returns the
 // stack distance it was found at: 0 when no other block intervened
-// since its previous access, −1 when the block was never seen.
+// since its previous access, −1 when the block was never seen. It
+// runs once per profiled reference.
+//
+//perf:hot
 func (t *stackTree) access(block uint64) int {
-	d := -1
-	if p, ok := t.last[block]; ok {
-		// Live blocks in slots after p are exactly the distinct blocks
-		// accessed since block's previous access. The occupancy bit must
-		// drop too: renumber compacts by scanning occ, so a stale bit
-		// would resurrect the cleared slot. (The last entry is simply
-		// overwritten below.)
-		d = t.live - t.prefix(p)
-		t.add(p, -1)
-		t.occ[p] = false
-		t.live--
+	if (t.live+1)*maxLoadDen > len(t.table)*maxLoadNum {
+		t.grow()
 	}
-	if t.next >= len(t.tree) {
+	i := t.find(block)
+	e := &t.table[i]
+	d := -1
+	if p := e.slot; p != 0 {
+		if p == t.next-1 {
+			// Already on top: the stack does not change.
+			return 0
+		}
+		// Live slots after p are exactly the distinct blocks accessed
+		// since block's previous access. The occupancy bit must drop:
+		// renumber ranks slots by occ, so a stale bit would keep the
+		// cleared slot alive. (The entry's slot is simply overwritten
+		// below.)
+		d = t.live - t.rank(p)
+		t.kill(p)
+	}
+	if t.next == len(t.occ)*64 {
 		t.renumber()
 	}
-	t.add(t.next, 1)
-	t.slots[t.next] = block
-	t.occ[t.next] = true
+	n := t.next
+	e.block, e.slot = block, n
+	t.occ[n>>6] |= 1 << uint(n&63)
+	t.add(n>>6, 1)
 	t.live++
-	t.last[block] = t.next
 	t.next++
 	return d
 }
 
 // remove forgets block entirely (SHARDS threshold eviction).
 func (t *stackTree) remove(block uint64) {
-	if p, ok := t.last[block]; ok {
-		t.add(p, -1)
-		t.occ[p] = false
-		t.live--
-		delete(t.last, block)
+	i := t.find(block)
+	if t.table[i].slot == 0 {
+		return
 	}
+	t.kill(t.table[i].slot)
+	// Backward-shift deletion: walk the probe run after the hole and
+	// pull back every entry whose home does not lie cyclically in
+	// (hole, its cell], so each remaining key stays reachable from its
+	// home without tombstones.
+	mask := len(t.table) - 1
+	for j := i; ; {
+		j = (j + 1) & mask
+		e := t.table[j]
+		if e.slot == 0 {
+			break
+		}
+		if (j-t.home(e.block))&mask >= (j-i)&mask {
+			t.table[i] = e
+			i = j
+		}
+	}
+	t.table[i] = treeEntry{}
 }
 
 // blocks returns the number of tracked blocks.
-func (t *stackTree) blocks() int { return len(t.last) }
+func (t *stackTree) blocks() int { return t.live }
 
-// renumber compacts live slots to 1..live preserving their order,
-// doubling the slot array only when more than half of it is live. One
-// ascending scan of the occupancy bits keeps the order without
-// sorting, and the Fenwick tree over a prefix of all-ones is filled
-// node by node in closed form, so the whole rebuild is O(size) —
-// amortized O(1) per access over the ≥ size/2 accesses that consumed
-// the slots.
+// grow doubles the table and re-inserts every entry.
+func (t *stackTree) grow() {
+	old := t.table
+	t.table = make([]treeEntry, 2*len(old))
+	t.shift--
+	for _, e := range old {
+		if e.slot != 0 {
+			t.table[t.find(e.block)] = e
+		}
+	}
+}
+
+// renumber compacts the live slots to 1..live preserving their order,
+// doubling the slot bits only when more than half of them are live.
+// A block's new slot is its old slot's rank, read off a running count
+// of the occupancy words, so one pass over the words and one over the
+// table renumber everything in place, without sorting; the occupancy
+// bits (now a prefix of ones) and the Fenwick tree over their words
+// are then rebuilt in one linear pass each. The rebuild is O(table +
+// words) = O(size), amortized O(1) per access over the ≥ size/2
+// accesses that consumed the slots.
 func (t *stackTree) renumber() {
-	size := len(t.tree)
-	for size < 2*(t.live+1) {
-		size *= 2
+	words := len(t.occ)
+	for 64*words < 2*(t.live+1) {
+		words *= 2
 	}
-	slots := make([]uint64, size)
-	occ := make([]bool, size)
-	n := 1
-	for p := 1; p < t.next; p++ {
-		if !t.occ[p] {
-			continue
-		}
-		slots[n], occ[n] = t.slots[p], true
-		t.last[slots[n]] = n
-		n++
+	// The Fenwick array is rebuilt below, so it serves as the scratch
+	// running count: below[w] = live slots in words under w.
+	below := t.fen
+	live := 0
+	for w, word := range t.occ {
+		below[w] = live
+		live += bits.OnesCount64(word)
 	}
-	t.next = n
-	t.live = n - 1
-	t.slots, t.occ = slots, occ
-	// Fenwick node q covers (q − lowbit(q), q]; with slots 1..live all
-	// holding 1, its sum is the overlap of that range with [1, live].
-	tree := make([]int, size)
-	for q := 1; q < size; q++ {
-		lo, hi := q-q&-q, q
-		if hi > t.live {
-			hi = t.live
-		}
-		if hi > lo {
-			tree[q] = hi - lo
+	for i := range t.table {
+		if p := t.table[i].slot; p != 0 {
+			w := p >> 6
+			t.table[i].slot = below[w] + bits.OnesCount64(t.occ[w]<<(63-uint(p&63)))
 		}
 	}
-	t.tree = tree
+	if words != len(t.occ) {
+		t.occ, t.fen = make([]uint64, words), make([]int, words+1)
+	}
+	t.live, t.next = live, live+1
+	clear(t.occ)
+	for p := 1; p <= live; p++ {
+		t.occ[p>>6] |= 1 << uint(p&63)
+	}
+	for w, word := range t.occ {
+		t.fen[w+1] = bits.OnesCount64(word)
+	}
+	for i := 1; i < len(t.fen); i++ {
+		if j := i + i&-i; j < len(t.fen) {
+			t.fen[j] += t.fen[i]
+		}
+	}
 }
 
 // Profiler measures exact reuse distances: Mattson's stack algorithm
 // over block addresses, one stackTree query per reference. Feed it
-// references with Access (or a whole Source with ProfileSource) and
+// references with Access (or a whole trace with ProfileRefs) and
 // finish with Curve. A Profiler is not safe for concurrent use.
 type Profiler struct {
 	lineShift uint
@@ -178,14 +282,22 @@ func (p *Profiler) Access(addr uint64) {
 
 // Curve reduces the profile so far into an exact miss-ratio curve.
 // The profiler can keep accumulating afterwards; each call snapshots.
+// The dense histogram is already in ascending distance order.
 func (p *Profiler) Curve() *Curve {
-	hist := make(map[uint64]float64, len(p.hist))
-	for d, n := range p.hist {
-		if n != 0 {
-			hist[uint64(d)] = float64(n)
+	n := 0
+	for _, c := range p.hist {
+		if c != 0 {
+			n++
 		}
 	}
-	return newCurve(p.lineSize, p.refs, p.tree.blocks(), false, 1, hist, float64(p.cold))
+	dist, weight := make([]uint64, 0, n), make([]float64, 0, n)
+	for d, c := range p.hist {
+		if c != 0 {
+			dist = append(dist, uint64(d))
+			weight = append(weight, float64(c))
+		}
+	}
+	return newCurve(p.lineSize, p.refs, p.tree.blocks(), false, 1, dist, weight, float64(p.cold))
 }
 
 // ProfileRefs builds the exact curve of a materialized trace at one
@@ -198,25 +310,6 @@ func ProfileRefs(refs []trace.Ref, lineSize int) (*Curve, error) {
 		return nil, err
 	}
 	for _, r := range refs {
-		p.Access(r.Addr)
-	}
-	return p.Curve(), nil
-}
-
-// ProfileSource streams up to n references from src through an exact
-// profiler — no trace materialization, O(uniqueBlocks) memory.
-//
-//perf:hot
-func ProfileSource(src trace.Source, n, lineSize int) (*Curve, error) {
-	p, err := NewProfiler(lineSize)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
 		p.Access(r.Addr)
 	}
 	return p.Curve(), nil

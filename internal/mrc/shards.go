@@ -174,11 +174,8 @@ func (p *SampledProfiler) evict() {
 // curve, rescaled (SHARDS_adj) so the weighted reference total equals
 // the number of references actually seen.
 func (p *SampledProfiler) Curve() *Curve {
-	hist := make(map[uint64]float64, len(p.hist))
-	for d, w := range p.hist {
-		hist[d] = w
-	}
-	c := newCurve(p.lineSize, p.refs, p.tree.blocks(), true, p.Rate(), hist, p.cold)
+	dist, weight := sortHist(p.hist)
+	c := newCurve(p.lineSize, p.refs, p.tree.blocks(), true, p.Rate(), dist, weight, p.cold)
 	if c.totalW > 0 && p.refs > 0 {
 		c.rescale(float64(p.refs) / c.totalW)
 	}
@@ -196,23 +193,6 @@ func ProfileSampledRefs(refs []trace.Ref, lineSize int, cfg SamplerConfig) (*Cur
 		return nil, err
 	}
 	for _, r := range refs {
-		p.Access(r.Addr)
-	}
-	return p.Curve(), nil
-}
-
-// ProfileSampledSource streams up to n references from src through a
-// SHARDS profiler.
-func ProfileSampledSource(src trace.Source, n, lineSize int, cfg SamplerConfig) (*Curve, error) {
-	p, err := NewSampledProfiler(lineSize, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < n; i++ {
-		r, ok := src.Next()
-		if !ok {
-			break
-		}
 		p.Access(r.Addr)
 	}
 	return p.Curve(), nil

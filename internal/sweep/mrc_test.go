@@ -29,39 +29,78 @@ func mrcGrid(source string) Config {
 	}
 }
 
-// TestMRCSweepSinglePass is the acceptance demonstration: an
-// MRC-backed sweep over a 64-point grid pays exactly one trace pass
-// per line size, shown by counting mrc_pass spans in the trace export.
-func TestMRCSweepSinglePass(t *testing.T) {
-	tracer := obs.NewTracer()
-	ctx := obs.WithTracer(context.Background(), tracer)
-	cfg := mrcGrid("mrc:ear")
-	ds, err := Run(ctx, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds) != 64 {
-		t.Fatalf("grid produced %d designs, want 64", len(ds))
-	}
+// traceEvent is one span of a trace export.
+type traceEvent struct {
+	Name string         `json:"name"`
+	TS   float64        `json:"ts"`
+	Dur  float64        `json:"dur"`
+	TID  int            `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// tracedEvents returns the spans tracer completed, and their count by
+// name.
+func tracedEvents(t *testing.T, tracer *obs.Tracer) ([]traceEvent, map[string]int) {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := tracer.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var events []struct {
-		Name string `json:"name"`
-	}
+	var events []traceEvent
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatal(err)
 	}
-	passes := 0
+	counts := map[string]int{}
 	for _, ev := range events {
-		if ev.Name == "mrc_pass" {
-			passes++
-		}
+		counts[ev.Name]++
 	}
-	if want := len(cfg.LineBytes); passes != want {
-		t.Fatalf("%d mrc_pass spans for %d designs, want exactly %d (one per line size)",
-			passes, len(ds), want)
+	return events, counts
+}
+
+// within reports whether inner runs inside outer on outer's lane.
+func within(inner, outer traceEvent) bool {
+	return inner.TID == outer.TID && outer.TS <= inner.TS && inner.TS+inner.Dur <= outer.TS+outer.Dur
+}
+
+// TestMRCSweepSinglePass is the acceptance demonstration: a curve-backed
+// sweep over a 64-point grid generates its trace once, inside the memo
+// flight of the first curve it misses, and pays exactly one pass per
+// line size, shown by the spans in the trace export.
+func TestMRCSweepSinglePass(t *testing.T) {
+	for _, source := range []string{"mrc:ear", "mrc~:ear"} {
+		tracer := obs.NewTracer()
+		ctx := obs.WithTracer(context.Background(), tracer)
+		cfg := mrcGrid(source)
+		ds, err := Run(ctx, cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds) != 64 {
+			t.Fatalf("%s: grid produced %d designs, want 64", source, len(ds))
+		}
+		events, counts := tracedEvents(t, tracer)
+		if want := len(cfg.LineBytes); counts["mrc_pass"] != want {
+			t.Errorf("%s: %d mrc_pass spans for %d designs, want exactly %d (one per line size)",
+				source, counts["mrc_pass"], len(ds), want)
+		}
+		if counts["trace_gen"] != 1 {
+			t.Fatalf("%s: %d trace_gen spans, want 1 for the whole sweep", source, counts["trace_gen"])
+		}
+		for _, gen := range events {
+			if gen.Name != "trace_gen" {
+				continue
+			}
+			if gen.Args["workload"] != "ear" || gen.Args["refs"] != float64(cfg.SimRefs) {
+				t.Errorf("%s: trace_gen args %v, want workload ear and refs %d", source, gen.Args, cfg.SimRefs)
+			}
+			nested := false
+			for _, memo := range events {
+				nested = nested || memo.Name == "memo" && within(gen, memo)
+			}
+			if !nested {
+				t.Errorf("%s: trace_gen span is not inside a memo span", source)
+			}
+		}
 	}
 }
 
@@ -117,7 +156,9 @@ func TestMRCSampledSweepRuns(t *testing.T) {
 }
 
 // TestRunCurvesSharesCache proves curves survive across sweeps when
-// the caller owns the cache: the second sweep performs zero passes.
+// the caller owns the cache: a sweep over resident curves generates no
+// trace and performs no pass, and one with a single resident curve
+// generates the trace once for the three it profiles.
 func TestRunCurvesSharesCache(t *testing.T) {
 	curves := mrc.NewCurveCache(0, 0)
 	if _, err := RunCaches(context.Background(), mrcGrid("mrc:ear"), 0, Caches{Curves: curves}); err != nil {
@@ -132,12 +173,25 @@ func TestRunCurvesSharesCache(t *testing.T) {
 	if _, err := RunCaches(ctx, mrcGrid("mrc:ear"), 0, Caches{Curves: curves}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := tracer.WriteJSON(&buf); err != nil {
+	if _, counts := tracedEvents(t, tracer); counts["trace_gen"] != 0 || counts["mrc_pass"] != 0 {
+		t.Fatalf("sweep over a shared curve cache opened %d trace_gen and %d mrc_pass spans, want none",
+			counts["trace_gen"], counts["mrc_pass"])
+	}
+
+	curves = mrc.NewCurveCache(0, 0)
+	one := mrcGrid("mrc:ear")
+	one.LineBytes = []int{32}
+	if _, err := RunCaches(context.Background(), one, 0, Caches{Curves: curves}); err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Contains(buf.Bytes(), []byte("mrc_pass")) {
-		t.Fatal("second sweep over a shared curve cache re-profiled a trace")
+	tracer = obs.NewTracer()
+	ctx = obs.WithTracer(context.Background(), tracer)
+	if _, err := RunCaches(ctx, mrcGrid("mrc:ear"), 2, Caches{Curves: curves}); err != nil {
+		t.Fatal(err)
+	}
+	if _, counts := tracedEvents(t, tracer); counts["trace_gen"] != 1 || counts["mrc_pass"] != 3 {
+		t.Fatalf("sweep with 1 of 4 curves resident opened %d trace_gen and %d mrc_pass spans, want 1 and 3",
+			counts["trace_gen"], counts["mrc_pass"])
 	}
 }
 
@@ -185,7 +239,12 @@ func TestValidateMRCSources(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("mrc_budget -1 accepted")
 	}
-	// An unknown workload surfaces at evaluation, like sim:'s behavior.
+	// Validate rejects an unknown workload before any evaluation.
+	unknown := mrcGrid("mrc:mystery")
+	unknown.SetDefaults()
+	if err := unknown.Validate(); err == nil {
+		t.Error("hit_source mrc:mystery accepted")
+	}
 	if _, err := Run(context.Background(), mrcGrid("mrc:mystery"), 0); err == nil {
 		t.Error("mrc:mystery sweep succeeded")
 	}

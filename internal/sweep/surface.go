@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"sync"
 
 	"tradeoff/internal/cache"
 	"tradeoff/internal/missratio"
@@ -39,11 +40,14 @@ type surface struct {
 // "mrc~:<name>" SHARDS-sampled), or cache simulation of a named
 // workload ("sim:<name>"). Curve tiers share one memoized curve per
 // (workload, line size) through caches (a nil field gets a private
-// cache scoped to this run). "sim:" generates its trace here, once, in
-// a trace_gen span before any pool worker starts, and replays it
-// through a fresh cache per call. Either way the hit function is safe
-// for concurrent use by the pool. It assumes Validate has passed, so
-// every workload name is known.
+// cache scoped to this run). Both trace-driven tiers read the
+// request's one trace, generated at most once in a trace_gen span:
+// "sim:" generates it here, before any pool worker starts, and replays
+// it through a fresh cache per call; "mrc:" and "mrc~:" generate it
+// lazily, inside the memo flight of the first curve that misses the
+// cache, and profile every missing line size from it. Either way the
+// hit function is safe for concurrent use by the pool. It assumes
+// Validate has passed, so every workload name is known.
 func resolveSurface(ctx context.Context, cfg Config, caches Caches) surface {
 	s := surface{name: cfg.EffectiveHitSource()}
 	prefix, name, _ := SourceWorkload(s.name)
@@ -75,18 +79,22 @@ func resolveSurface(ctx context.Context, cfg Config, caches Caches) surface {
 		if spec.Sampled {
 			spec.Sampler = mrc.SamplerConfig{Rate: cfg.MRCRate, Budget: cfg.MRCBudget}
 		}
+		var (
+			once sync.Once
+			refs []trace.Ref
+		)
+		collect := func(ctx context.Context) []trace.Ref {
+			once.Do(func() { refs = collectTrace(ctx, name, cfg) })
+			return refs
+		}
 		curve = func(ctx context.Context, line int) (*mrc.Curve, error) {
 			s := spec
 			s.LineSize = line
-			c, _, err := curves.Get(ctx, s)
+			c, _, err := curves.Get(ctx, s, collect)
 			return c, err
 		}
 	case "sim:":
-		_, span := obs.StartSpan(ctx, "trace_gen")
-		span.SetArg("workload", name)
-		span.SetArg("refs", cfg.SimRefs)
-		refs := trace.Collect(trace.MustWorkload(name, cfg.Seed), cfg.SimRefs)
-		span.End()
+		refs := collectTrace(ctx, name, cfg)
 		s.refs = refs
 		s.hit = func(_ context.Context, size, line int) (float64, error) {
 			c, err := cache.New(cache.Config{Size: size, LineSize: line, Assoc: cfg.Assoc})
@@ -106,6 +114,16 @@ func resolveSurface(ctx context.Context, cfg Config, caches Caches) surface {
 		}
 	}
 	return s
+}
+
+// collectTrace generates the request's trace, the first SimRefs
+// references of workload name at cfg.Seed, in a trace_gen span.
+func collectTrace(ctx context.Context, name string, cfg Config) []trace.Ref {
+	_, span := obs.StartSpan(ctx, "trace_gen")
+	defer span.End()
+	span.SetArg("workload", name)
+	span.SetArg("refs", cfg.SimRefs)
+	return trace.Collect(trace.MustWorkload(name, cfg.Seed), cfg.SimRefs)
 }
 
 // locals returns a hierarchy point's per-level local hit ratios, top
