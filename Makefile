@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test test-short race loadbench-test bench bench-smoke bench-mrc bench-record trace-smoke flight-smoke obs-smoke figures figures-fast report examples serve clean
+.PHONY: all build vet lint lint-fast test test-short race loadbench-test bench bench-smoke bench-mrc bench-record trace-smoke flight-smoke obs-smoke figures figures-fast report examples serve loc clean
 
 all: build lint test race
 
@@ -119,6 +119,14 @@ examples:
 	$(GO) run ./examples/stallfeatures
 	$(GO) run ./examples/designspace
 	$(GO) run ./examples/hierarchy
+
+# Non-test and test Go line counts over the tracked .go files outside
+# loadbench/ (its own module), testdata/ included: the one scope the
+# ROADMAP's line counts use.
+loc:
+	@printf 'non-test %s\ntest     %s\n' \
+		"$$(git ls-files -- '*.go' ':!:*_test.go' ':!:loadbench/*' | xargs cat | wc -l)" \
+		"$$(git ls-files -- '*_test.go' ':!:loadbench/*' | xargs cat | wc -l)"
 
 # Remove the smoke-run outputs (see .gitignore); the paper artifacts
 # committed in out/ stay.

@@ -14,8 +14,9 @@
 //	         [-wbuf 0] [-workers 0] [-trace out.json]
 //
 // -feature also accepts a comma-separated list or "all"; the listed
-// features replay concurrently on a simjob worker pool (-workers) over
-// one shared trace and report as a comparison table.
+// features share one cache pass over the trace, replay their timing
+// concurrently on a simjob worker pool (-workers) and report as a
+// comparison table.
 //
 // -levels appends deeper cache levels below the L1 the -size/-line/
 // -assoc flags describe and replays the trace through the resulting
@@ -36,8 +37,9 @@
 // renamed so -trace means the same thing on every CLI.)
 //
 // -trace writes a Chrome trace_event JSON profile of the run (one
-// "sim_feature" span per replayed feature, laned by worker slot) —
-// load it at chrome://tracing or https://ui.perfetto.dev.
+// "sim_job" span for the features' one shared cache pass and one
+// "sim_replay" span per replayed feature under it, laned by worker
+// slot) — load it at chrome://tracing or https://ui.perfetto.dev.
 package main
 
 import (

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -60,22 +61,24 @@ func TestRunTraceFile(t *testing.T) {
 }
 
 // TestRunWritesTrace checks -trace: a multi-feature replay records one
-// "sim_feature" span per feature; a profile-only run still writes a
-// well-formed (empty) event array.
+// "sim_job" span for its one cache pass and one "sim_replay" span per
+// feature; a profile-only run still writes a well-formed (empty) event
+// array.
 func TestRunWritesTrace(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := dir + "/trace.json"
 	if err := run(input{program: "ear"}, 5000, 1, 8<<10, 32, 2, "allocate", "", "FS,BNL3", 10, 4, 0, 2, tracePath); err != nil {
 		t.Fatal(err)
 	}
-	events := readTrace(t, tracePath)
-	if len(events) != 2 {
-		t.Fatalf("trace spans = %d, want 2 (one per feature)", len(events))
-	}
-	for _, ev := range events {
-		if ev.Name != "sim_feature" || ev.Ph != "X" {
+	spans := map[string]int{}
+	for _, ev := range readTrace(t, tracePath) {
+		if ev.Ph != "X" {
 			t.Fatalf("unexpected event %+v", ev)
 		}
+		spans[ev.Name]++
+	}
+	if want := map[string]int{"sim_job": 1, "sim_replay": 2}; !reflect.DeepEqual(spans, want) {
+		t.Fatalf("trace spans %v, want %v (one cache pass, one replay per feature)", spans, want)
 	}
 
 	empty := dir + "/empty.json"

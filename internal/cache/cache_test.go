@@ -258,19 +258,19 @@ func TestFlushAll(t *testing.T) {
 
 func TestHitRatioGrowsWithCacheSize(t *testing.T) {
 	refs := trace.Collect(trace.MustProgram(trace.Doduc, 3), 200000)
-	points, err := SweepSizes(cfg8K(), []int{1 << 10, 8 << 10, 64 << 10}, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(points); i++ {
-		if points[i].Profile.HitRatio < points[i-1].Profile.HitRatio {
-			t.Fatalf("hit ratio fell when growing cache: %v then %v",
-				points[i-1].Profile.HitRatio, points[i].Profile.HitRatio)
+	var prev float64
+	for _, size := range []int{1 << 10, 8 << 10, 64 << 10} {
+		cfg := cfg8K()
+		cfg.Size = size
+		hr := Measure(MustNew(cfg), refs).HitRatio
+		if hr < prev {
+			t.Fatalf("hit ratio fell to %v when growing the cache to %d bytes, from %v", hr, size, prev)
 		}
+		prev = hr
 	}
 	// doduc's pointer-chase pool exceeds 64K, so the ceiling is modest.
-	if points[2].Profile.HitRatio < 0.7 {
-		t.Fatalf("64K cache hit ratio %.3f unexpectedly low", points[2].Profile.HitRatio)
+	if prev < 0.7 {
+		t.Fatalf("64K cache hit ratio %.3f unexpectedly low", prev)
 	}
 }
 
@@ -279,15 +279,12 @@ func TestLargerLinesHelpSequential(t *testing.T) {
 	// roughly in proportion (the premise of the paper's §5.4).
 	refs := trace.Collect(trace.Sequential(trace.SequentialConfig{
 		Seed: 1, Base: 0, Length: 1 << 20, Stride: 8, ElemSize: 8}), 100000)
-	points, err := SweepLineSizes(Config{Size: 8 << 10, Assoc: 2}, []int{8, 16, 32, 64}, refs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(points); i++ {
-		prev, cur := points[i-1].Profile, points[i].Profile
-		if cur.HitRatio <= prev.HitRatio {
-			t.Fatalf("line %d hit ratio %.4f not above line %d's %.4f",
-				points[i].Config.LineSize, cur.HitRatio, points[i-1].Config.LineSize, prev.HitRatio)
+	lines := []int{8, 16, 32, 64}
+	hrs := make([]float64, len(lines))
+	for i, line := range lines {
+		hrs[i] = Measure(MustNew(Config{Size: 8 << 10, LineSize: line, Assoc: 2}), refs).HitRatio
+		if i > 0 && hrs[i] <= hrs[i-1] {
+			t.Fatalf("line %d hit ratio %.4f not above line %d's %.4f", line, hrs[i], lines[i-1], hrs[i-1])
 		}
 	}
 }
@@ -344,15 +341,6 @@ func TestWriteAroundWCount(t *testing.T) {
 	}
 	if want := p.R/32 + p.W; p.Misses != want {
 		t.Fatalf("Λm = %d, want R/L + W = %d (Eq. 1)", p.Misses, want)
-	}
-}
-
-func TestSweepRejectsBadLineSize(t *testing.T) {
-	if _, err := SweepLineSizes(cfg8K(), []int{24}, nil); err == nil {
-		t.Fatal("SweepLineSizes accepted non-power-of-two line")
-	}
-	if _, err := SweepSizes(cfg8K(), []int{1000}, nil); err == nil {
-		t.Fatal("SweepSizes accepted non-power-of-two size")
 	}
 }
 

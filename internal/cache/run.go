@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"fmt"
-
-	"tradeoff/internal/trace"
-)
+import "tradeoff/internal/trace"
 
 // AppProfile is the application characterization {E, R, W, α} of the
 // paper's Table 1, as measured by running a trace through a cache. It is
@@ -46,46 +42,4 @@ func Measure(c *Cache, refs []trace.Ref) AppProfile {
 // MeasureSource replays up to n references from src. See Measure.
 func MeasureSource(c *Cache, src trace.Source, n int) AppProfile {
 	return Measure(c, trace.Collect(src, n))
-}
-
-// SweepPoint is one (config, result) pair from a parameter sweep.
-type SweepPoint struct {
-	Config  Config
-	Profile AppProfile
-}
-
-// SweepLineSizes replays the same trace through caches that differ only
-// in line size and returns one point per size. It is the data source for
-// line-size/hit-ratio studies (§5.4 of the paper): given a fixed cache
-// size, larger lines typically raise the hit ratio up to a pollution
-// point.
-func SweepLineSizes(base Config, lineSizes []int, refs []trace.Ref) ([]SweepPoint, error) {
-	points := make([]SweepPoint, 0, len(lineSizes))
-	for _, ls := range lineSizes {
-		cfg := base
-		cfg.LineSize = ls
-		c, err := New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("line size %d: %w", ls, err)
-		}
-		points = append(points, SweepPoint{Config: cfg, Profile: Measure(c, refs)})
-	}
-	return points, nil
-}
-
-// SweepSizes replays the same trace through caches that differ only in
-// total capacity and returns one point per size. It supports Example 1
-// style cache-size/hit-ratio relationships.
-func SweepSizes(base Config, sizes []int, refs []trace.Ref) ([]SweepPoint, error) {
-	points := make([]SweepPoint, 0, len(sizes))
-	for _, sz := range sizes {
-		cfg := base
-		cfg.Size = sz
-		c, err := New(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("cache size %d: %w", sz, err)
-		}
-		points = append(points, SweepPoint{Config: cfg, Profile: Measure(c, refs)})
-	}
-	return points, nil
 }

@@ -56,8 +56,8 @@ func Example1(o Options) ([]Artifact, error) {
 	// second half, so short fast-mode traces are not dominated by
 	// compulsory misses.
 	warm, measured := refs[:len(refs)/2], refs[len(refs)/2:]
-	points := make([]cache.SweepPoint, 0, len(sizes))
-	for _, sz := range sizes {
+	hrs := make([]float64, len(sizes))
+	for i, sz := range sizes {
 		c, err := cache.New(cache.Config{Size: sz, LineSize: 32, Assoc: 2})
 		if err != nil {
 			return nil, err
@@ -66,28 +66,27 @@ func Example1(o Options) ([]Artifact, error) {
 			c.Access(r.Addr, r.Write)
 		}
 		c.ResetStats()
-		points = append(points, cache.SweepPoint{Config: c.Config(), Profile: cache.Measure(c, measured)})
+		hrs[i] = cache.Measure(c, measured).HitRatio
 	}
 	sim := plot.Table{
 		Title:   "Example 1 on simulated hit ratios (Zipf general-workload model): cache size equivalent to doubling the bus",
 		Columns: []string{"base size", "base HR", "needed HR", "equivalent size", "equivalent HR"},
 	}
-	for i, base := range points {
-		eq, err := core.ExampleOne(base.Profile.HitRatio, base.Profile.HitRatio, 0.5, 32, 4, 10)
+	for i, hr := range hrs {
+		eq, err := core.ExampleOne(hr, hr, 0.5, 32, 4, 10)
 		if err != nil {
 			return nil, err
 		}
 		match := "beyond sweep"
 		matchHR := 0.0
-		for _, cand := range points[i+1:] {
-			if cand.Profile.HitRatio >= eq.NeededHR {
-				match = fmt.Sprintf("%dK", cand.Config.Size>>10)
-				matchHR = cand.Profile.HitRatio
+		for j := i + 1; j < len(sizes); j++ {
+			if hrs[j] >= eq.NeededHR {
+				match = fmt.Sprintf("%dK", sizes[j]>>10)
+				matchHR = hrs[j]
 				break
 			}
 		}
-		sim.AddRowf(fmt.Sprintf("%dK", base.Config.Size>>10),
-			base.Profile.HitRatio, eq.NeededHR, match, matchHR)
+		sim.AddRowf(fmt.Sprintf("%dK", sizes[i]>>10), hr, eq.NeededHR, match, matchHR)
 	}
 	arts = append(arts, Artifact{ID: "E9", Name: "example1_simulated", Title: sim.Title, Table: &sim})
 	return arts, nil

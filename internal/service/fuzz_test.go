@@ -95,6 +95,11 @@ func FuzzEndpoints(f *testing.F) {
 	for _, c := range nonFiniteCases {
 		fuzzSeed(f, c.path, c.body)
 	}
+	// Admission probes (admission_test.go): counts that once enumerated
+	// or wrapped before the limit check.
+	fuzzSeed(f, "/v1/stall", stallProbe(8))
+	fuzzSeed(f, "/v1/sweep", wrapProbe())
+	fuzzSeed(f, "/v1/optimize", wrapProbe())
 
 	h := New(Options{
 		Workers:     2,

@@ -294,9 +294,17 @@ type Limits struct {
 var DefaultLimits = Limits{MaxPoints: 1024, MaxRefs: 2_000_000, MaxCacheKB: 1 << 14}
 
 // CheckLimits reports whether the grid fits within lim. It assumes
-// SetDefaults has run.
+// SetDefaults has run. The point count is the saturating product of
+// the axis lengths, which bounds Enumerate's loop as well as its
+// points (it counts before Enumerate skips lines that fit no bus or
+// cache), so admission never enumerates.
 func (g *Grid) CheckLimits(lim Limits) error {
-	if n := len(g.Enumerate()); lim.MaxPoints > 0 && n > lim.MaxPoints {
+	n := 1
+	for _, axis := range []int{len(g.Programs), len(g.Features), len(g.CacheKB), len(g.LineBytes),
+		len(g.BusBytes), len(g.BetaM), len(g.WbufDepths)} {
+		n = sweep.SatMul(n, axis)
+	}
+	if lim.MaxPoints > 0 && n > lim.MaxPoints {
 		return fmt.Errorf("simjob: %d design points exceeds the limit of %d", n, lim.MaxPoints)
 	}
 	if lim.MaxRefs > 0 && g.Refs > lim.MaxRefs {

@@ -15,7 +15,8 @@
 // Options.Warm a group first warms its own cache with one pass over
 // the trace, so cold-start misses are excluded from every point.
 //
-// The consumers are cmd/figures and cmd/cachesim (via their -workers
+// RunRefs takes the same path for one caller-supplied trace. The
+// consumers are cmd/figures and cmd/cachesim (via their -workers
 // flags) and the tradeoffd service's POST /v1/stall endpoint.
 package simjob
 
@@ -174,14 +175,17 @@ func groupJobs(jobs []Job) []group {
 	return groups
 }
 
+// traceFunc returns the trace a group's jobs name.
+type traceFunc func(context.Context, TraceSpec) ([]trace.Ref, error)
+
 // measure runs one group: it gets the trace, simulates the group's
 // cache over it once (after a warm-up pass when opts.Warm is set), and
 // replays every member's timing from the shared outcomes, writing each
 // result to the member's slot in out. The replays fan out over a pool
 // of opts.Workers of their own, one sim_replay span each, so a grid of
 // fewer geometries than workers still keeps every worker busy.
-func (r *Runner) measure(ctx context.Context, g group, jobs []Job, out []stall.Result, opts Options) error {
-	refs, err := r.traces.Get(ctx, g.trace)
+func measure(ctx context.Context, g group, jobs []Job, out []stall.Result, opts Options, traceOf traceFunc) error {
+	refs, err := traceOf(ctx, g.trace)
 	if err != nil {
 		return err
 	}
@@ -208,17 +212,12 @@ func (r *Runner) measure(ctx context.Context, g group, jobs []Job, out []stall.R
 	return err
 }
 
-// Run measures every job on the shared engine.Map pool, one pool item
-// (and one sim_job span) per distinct (trace, cache configuration)
-// whose replays run as one sim_replay item each (see measure), and
-// returns results indexed like jobs — deterministic regardless of
-// worker count or completion order. The context cancels in-flight
-// work: a disconnected HTTP client or an interrupted CLI stops the pool
-// early with ctx.Err().
-func (r *Runner) Run(ctx context.Context, jobs []Job, opts Options) ([]stall.Result, error) {
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("simjob: no jobs")
-	}
+// run measures jobs on the shared engine.Map pool, one pool item (and
+// one sim_job span) per distinct (trace, cache configuration) whose
+// replays run as one sim_replay item each (see measure), and returns
+// results indexed like jobs — deterministic regardless of worker count
+// or completion order. traceOf supplies each group's trace.
+func run(ctx context.Context, jobs []Job, opts Options, traceOf traceFunc) ([]stall.Result, error) {
 	out := make([]stall.Result, len(jobs))
 	ctx = obs.WithSpanName(ctx, "sim_job")
 	_, err := engine.Map(ctx, groupJobs(jobs), opts.Workers, func(ctx context.Context, g group) (struct{}, error) {
@@ -228,7 +227,7 @@ func (r *Runner) Run(ctx context.Context, jobs []Job, opts Options) ([]stall.Res
 			s.SetArg("line_bytes", g.cache.LineSize)
 			s.SetArg("configs", len(g.members))
 		}
-		return struct{}{}, r.measure(ctx, g, jobs, out, opts)
+		return struct{}{}, measure(ctx, g, jobs, out, opts, traceOf)
 	})
 	if err != nil {
 		return nil, err
@@ -236,19 +235,31 @@ func (r *Runner) Run(ctx context.Context, jobs []Job, opts Options) ([]stall.Res
 	return out, nil
 }
 
+// Run measures every job, each group's named trace coming from the
+// runner's trace cache (see run). The context cancels in-flight work:
+// a disconnected HTTP client or an interrupted CLI stops the pool
+// early with ctx.Err().
+func (r *Runner) Run(ctx context.Context, jobs []Job, opts Options) ([]stall.Result, error) {
+	if len(jobs) == 0 {
+		return nil, fmt.Errorf("simjob: no jobs")
+	}
+	return run(ctx, jobs, opts, r.traces.Get)
+}
+
 // RunRefs measures one caller-supplied trace under each configuration
-// on the shared pool — the cmd/cachesim path, where the trace comes
-// from a file or a one-off generator rather than a named program. The
-// refs slice is shared read-only across workers.
+// — the cmd/cachesim path, where the trace comes from a file or a
+// one-off generator rather than a named program. Configurations that
+// share a cache share its one cache pass, exactly as Run's groups do;
+// the refs slice is shared read-only across workers.
 func RunRefs(ctx context.Context, refs []trace.Ref, cfgs []stall.Config, workers int) ([]stall.Result, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("simjob: no configurations")
 	}
-	ctx = obs.WithSpanName(ctx, "sim_feature")
-	return engine.Map(ctx, cfgs, workers, func(ctx context.Context, cfg stall.Config) (stall.Result, error) {
-		if s := obs.CurrentSpan(ctx); s != nil {
-			s.SetArg("feature", cfg.Feature.String())
-		}
-		return stall.Run(cfg, refs)
+	jobs := make([]Job, len(cfgs))
+	for i, cfg := range cfgs {
+		jobs[i] = Job{Cfg: cfg}
+	}
+	return run(ctx, jobs, Options{Workers: workers}, func(context.Context, TraceSpec) ([]trace.Ref, error) {
+		return refs, nil
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
-	"sort"
 	"testing"
 	"unsafe"
 
@@ -370,13 +369,14 @@ func TestRunBadJob(t *testing.T) {
 }
 
 // TestRunRefsMatchesDirect checks the caller-supplied-trace path gives
-// exactly what stall.Run gives, in configuration order.
+// exactly what stall.Run gives, in configuration order, from one cache
+// pass per distinct cache.
 func TestRunRefsMatchesDirect(t *testing.T) {
 	refs := trace.Collect(trace.MustProgram("doduc", 7), 4_000)
 	var cfgs []stall.Config
-	g := Grid{}
+	g := Grid{CacheKB: []int{8, 16}}
 	g.SetDefaults()
-	for _, p := range g.Enumerate()[:6] {
+	for _, p := range g.Enumerate()[:12] {
 		job, err := g.job(p)
 		if err != nil {
 			t.Fatal(err)
@@ -388,16 +388,23 @@ func TestRunRefsMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The caller-supplied path stays per configuration: one sim_feature
-	// span per feature.
-	var features []string
-	for _, args := range spanArgs(t, tracer, "sim_feature") {
-		f, _ := args["feature"].(string)
-		features = append(features, f)
+	// Six features on each of two caches: one sim_job span per cache
+	// for its one cache pass, and one sim_replay span per configuration.
+	configs := map[float64]float64{}
+	jobs := spanArgs(t, tracer, "sim_job")
+	for _, args := range jobs {
+		configs[args["cache_kb"].(float64)] = args["configs"].(float64)
 	}
-	sort.Strings(features)
-	if want := []string{"BL", "BNL1", "BNL2", "BNL3", "FS", "NB"}; !reflect.DeepEqual(features, want) {
-		t.Fatalf("sim_feature spans for %v, want one each for %v", features, want)
+	if want := map[float64]float64{8: 6, 16: 6}; len(jobs) != 2 || !reflect.DeepEqual(configs, want) {
+		t.Fatalf("sim_job spans %v, want one per cache_kb replaying %v configs", jobs, want)
+	}
+	replays := map[string]int{}
+	for _, args := range spanArgs(t, tracer, "sim_replay") {
+		f, _ := args["feature"].(string)
+		replays[f]++
+	}
+	if want := map[string]int{"FS": 2, "BL": 2, "BNL1": 2, "BNL2": 2, "BNL3": 2, "NB": 2}; !reflect.DeepEqual(replays, want) {
+		t.Fatalf("sim_replay spans per feature %v, want %v", replays, want)
 	}
 	for i, cfg := range cfgs {
 		want, err := stall.Run(cfg, refs)

@@ -1,10 +1,6 @@
 package stall
 
-import (
-	"fmt"
-
-	"tradeoff/internal/trace"
-)
+import "tradeoff/internal/trace"
 
 // RunSource replays up to n references drawn from src. See Run.
 func RunSource(cfg Config, src trace.Source, n int) (Result, error) {
@@ -43,31 +39,4 @@ func AverageResults(names []string, results []Result) (perProgram map[string]Res
 		avg.PhiFraction = sumFrac / float64(len(names))
 	}
 	return perProgram, avg
-}
-
-// AverageOverPrograms measures the stalling factor for each named
-// program model (refsPer references each, seeded with seed) and returns
-// the per-program results plus their unweighted average — see
-// AverageResults for the aggregation contract.
-func AverageOverPrograms(cfg Config, names []string, refsPer int, seed uint64) (perProgram map[string]Result, avg Result, err error) {
-	if unknown := trace.ValidNames(names); len(unknown) > 0 {
-		return nil, Result{}, fmt.Errorf("stall: unknown programs %v", unknown)
-	}
-	if len(names) == 0 {
-		return nil, Result{}, fmt.Errorf("stall: no programs given")
-	}
-	results := make([]Result, len(names))
-	for i, name := range names {
-		src, err := trace.NewProgram(name, seed)
-		if err != nil {
-			return nil, Result{}, err
-		}
-		res, err := RunSource(cfg, src, refsPer)
-		if err != nil {
-			return nil, Result{}, fmt.Errorf("stall: program %s: %w", name, err)
-		}
-		results[i] = res
-	}
-	perProgram, avg = AverageResults(names, results)
-	return perProgram, avg, nil
 }

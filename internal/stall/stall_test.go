@@ -419,11 +419,17 @@ func TestPhiGrowsWithMemoryCycle(t *testing.T) {
 	}
 }
 
-func TestAverageOverPrograms(t *testing.T) {
-	per, avg, err := AverageOverPrograms(fig1Config(BNL3, 10), trace.Programs(), 20000, 1)
-	if err != nil {
-		t.Fatal(err)
+func TestAverageResults(t *testing.T) {
+	names := trace.Programs()
+	results := make([]Result, len(names))
+	for i, name := range names {
+		res, err := RunSource(fig1Config(BNL3, 10), trace.MustProgram(name, 1), 20000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = res
 	}
+	per, avg := AverageResults(names, results)
 	if len(per) != 6 {
 		t.Fatalf("%d programs measured, want 6", len(per))
 	}
@@ -433,15 +439,6 @@ func TestAverageOverPrograms(t *testing.T) {
 	}
 	if want := sum / 6; math.Abs(avg.Phi-want) > 1e-9 {
 		t.Fatalf("avg φ %.4f, want %.4f", avg.Phi, want)
-	}
-}
-
-func TestAverageOverProgramsErrors(t *testing.T) {
-	if _, _, err := AverageOverPrograms(fig1Config(FS, 4), []string{"bogus"}, 10, 1); err == nil {
-		t.Fatal("unknown program accepted")
-	}
-	if _, _, err := AverageOverPrograms(fig1Config(FS, 4), nil, 10, 1); err == nil {
-		t.Fatal("empty program list accepted")
 	}
 }
 

@@ -15,6 +15,7 @@ package sweep
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"tradeoff/internal/mrc"
@@ -262,16 +263,39 @@ type Limits struct {
 // otherwise: generous for interactive use, stingy for abuse.
 var DefaultLimits = Limits{MaxPoints: 4096, MaxCacheKB: 1 << 16, MaxSimRefs: 5_000_000}
 
+// SatMul returns a·b for non-negative a and b, saturating at
+// math.MaxInt instead of wrapping. The admission checks multiply axis
+// lengths with it, so a payload of long axes can only overstate its
+// point count, never wrap under a limit.
+func SatMul(a, b int) int {
+	if a != 0 && b > math.MaxInt/a {
+		return math.MaxInt
+	}
+	return a * b
+}
+
+// flatPoints bounds the design points of the L1 axes alone: their
+// product, before the line >= 2D filter.
+func (c *Config) flatPoints() int {
+	return SatMul(SatMul(len(c.CacheKB), len(c.LineBytes)), len(c.BusBits))
+}
+
+// levelChoices is the number of (capacity, line) choices of one deeper
+// level's axes.
+func levelChoices(lv LevelAxes) int {
+	lines := len(lv.LineBytes)
+	if lines == 0 {
+		lines = 1 // inherited line: one choice per combination
+	}
+	return SatMul(len(lv.CacheKB), lines)
+}
+
 // CheckLimits reports whether the configuration fits within lim.
 // It assumes SetDefaults has run.
 func (c *Config) CheckLimits(lim Limits) error {
-	n := len(c.CacheKB) * len(c.LineBytes) * len(c.BusBits)
+	n := c.flatPoints()
 	for _, lv := range c.Levels {
-		lines := len(lv.LineBytes)
-		if lines == 0 {
-			lines = 1 // inherited line: one choice per combination
-		}
-		n *= len(lv.CacheKB) * lines
+		n = SatMul(n, levelChoices(lv))
 	}
 	if lim.MaxPoints > 0 && n > lim.MaxPoints {
 		return fmt.Errorf("sweep: %d design points exceeds the limit of %d", n, lim.MaxPoints)

@@ -6,19 +6,17 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 
 	"tradeoff/internal/engine"
-	"tradeoff/internal/linesize"
 	"tradeoff/internal/obs"
 )
 
 // Line-size search modes for Optimize. LineModeEnumerate keeps every
-// line_bytes candidate as its own design point; LineModeOptimal picks
-// one line per (cache size, bus width) with the paper's §5.4 optimal-
-// line criterion (linesize.MeanDelayOptimal over the configured hit
-// source) before the hierarchy axes expand the space.
+// line_bytes candidate as its own design point; LineModeOptimal keeps
+// one line per (cache size, bus width), the paper's §5.4 optimal line
+// (least mean delay per reference over the configured hit source),
+// before the hierarchy axes expand the space.
 const (
 	LineModeEnumerate = "enumerate"
 	LineModeOptimal   = "optimal"
@@ -88,18 +86,16 @@ func (c *OptimizeConfig) depth() int {
 // CheckLimits bounds the search like Config.CheckLimits bounds a
 // sweep, summing the design points over every depth prefix.
 func (c *OptimizeConfig) CheckLimits(lim Limits) error {
-	flat := len(c.CacheKB) * len(c.LineBytes) * len(c.BusBits)
-	total, mult := 0, 1
+	total, n := 0, c.flatPoints()
 	for depth := 0; depth < c.depth(); depth++ {
 		if depth > 0 {
-			lv := c.Levels[depth-1]
-			lines := len(lv.LineBytes)
-			if lines == 0 {
-				lines = 1
-			}
-			mult *= len(lv.CacheKB) * lines
+			n = SatMul(n, levelChoices(c.Levels[depth-1]))
 		}
-		total += flat * mult
+		if total > math.MaxInt-n {
+			total = math.MaxInt
+		} else {
+			total += n
+		}
 	}
 	if lim.MaxPoints > 0 && total > lim.MaxPoints {
 		return fmt.Errorf("sweep: %d design points exceeds the limit of %d", total, lim.MaxPoints)
@@ -151,155 +147,117 @@ func Optimize(ctx context.Context, cfg OptimizeConfig, workers int) (OptimizeRes
 // OptimizeCaches is Optimize with caller-owned memoization state (see
 // Caches); the tradeoffd service shares its curve and model caches
 // across requests this way.
+//
+// The search prices through the sweep's own driver: every flat design
+// once, one optimize_point span per distinct (size, line) geometry as
+// in runFlat, then every deeper design on the hierarchy pool
+// (runHierarchy), one span each.
 func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches Caches) (OptimizeResult, error) {
 	cfg.SetDefaults()
 	if err := cfg.Validate(); err != nil {
 		return OptimizeResult{}, err
 	}
-	surf := resolveSurface(ctx, cfg.Config, caches)
-	points, err := optimizePoints(ctx, cfg, surf.hit)
-	if err != nil {
-		return OptimizeResult{}, err
-	}
+	flatCfg := cfg.Config
+	flatCfg.Levels = nil
+	points := enumerate(flatCfg)
 	if len(points) == 0 {
 		return OptimizeResult{}, fmt.Errorf("sweep: empty optimize space (every line < 2D, or no monotone hierarchy?)")
 	}
+	surf := resolveSurface(ctx, cfg.Config, caches)
 
 	ctx = obs.WithSpanName(ctx, "optimize_point")
-	all, err := engine.Map(ctx, points, workers, func(ctx context.Context, p point) (Design, error) {
-		if s := obs.CurrentSpan(ctx); s != nil {
-			s.SetArg("cache_kb", p.cacheKB)
-			s.SetArg("levels", len(p.levels)+1)
-		}
-		var d Design
-		var err error
-		if len(p.levels) > 0 {
-			d, err = evaluateHierarchy(ctx, cfg.Config, surf, p)
-		} else {
-			var hr float64
-			if hr, err = surf.hit(ctx, p.cacheKB<<10, p.line); err == nil {
-				d, err = evaluate(cfg.Config, hr, surf.name, p)
-			}
-		}
-		if err != nil {
-			return Design{}, err
-		}
-		d.PowerProxy = powerProxy(d)
-		return d, nil
-	})
+	flat, err := runFlat(ctx, flatCfg, workers, surf, points)
 	if err != nil {
 		return OptimizeResult{}, err
 	}
 
-	feasible := make([]Design, 0, len(all))
-	for _, d := range all {
+	// Lay the designs out in result order: each depth prefix of the
+	// level axes extends the kept flat designs, depth-major over all of
+	// them when lines are enumerated, right after each (size, bus) pick
+	// when they are optimal. An order entry i < len(kept) is kept[i];
+	// any other is deep[i-len(kept)], priced on the hierarchy pool.
+	kept := flat
+	if cfg.LineMode == LineModeOptimal {
+		kept = leastDelayLines(cfg.Config, flat)
+	}
+	var (
+		deep  []point
+		order []int
+	)
+	extend := func(d Design, depth int) {
+		sub := cfg.Config
+		sub.Levels = cfg.Levels[:depth]
+		n := len(deep)
+		deep = extendLevels(deep, sub, point{cacheKB: d.CacheKB, line: d.LineBytes, busBits: d.BusBits}, 0)
+		for j := n; j < len(deep); j++ {
+			order = append(order, len(kept)+j)
+		}
+	}
+	if cfg.LineMode == LineModeOptimal {
+		for i, d := range kept {
+			order = append(order, i)
+			for depth := 1; depth < cfg.depth(); depth++ {
+				extend(d, depth)
+			}
+		}
+	} else {
+		for i := range kept {
+			order = append(order, i)
+		}
+		for depth := 1; depth < cfg.depth(); depth++ {
+			for _, d := range kept {
+				extend(d, depth)
+			}
+		}
+	}
+	priced, err := runHierarchy(ctx, cfg.Config, workers, surf, deep)
+	if err != nil {
+		return OptimizeResult{}, err
+	}
+
+	feasible := make([]Design, 0, len(order))
+	for _, i := range order {
+		var d Design
+		if i < len(kept) {
+			d = kept[i]
+		} else {
+			d = priced[i-len(kept)]
+		}
+		d.PowerProxy = powerProxy(d)
 		if d.AreaRBE > cfg.AreaBudget {
 			continue
 		}
 		if cfg.PowerBudget > 0 && d.PowerProxy > cfg.PowerBudget {
 			continue
 		}
-		d.Pareto = false
 		feasible = append(feasible, d)
 	}
 	MarkPareto(feasible)
-	return OptimizeResult{Total: len(all), Feasible: len(feasible), Designs: feasible}, nil
+	return OptimizeResult{Total: len(order), Feasible: len(feasible), Designs: feasible}, nil
 }
 
-// optimizePoints enumerates the search space: every depth prefix of
-// the level axes, with the L1 line either enumerated or fixed per
-// (cache size, bus width) by the optimal-line criterion.
-func optimizePoints(ctx context.Context, cfg OptimizeConfig, hit hitRatioFunc) ([]point, error) {
-	depths := cfg.depth()
-	if cfg.LineMode == LineModeEnumerate {
-		var points []point
-		for depth := 0; depth < depths; depth++ {
-			sub := cfg.Config
-			sub.Levels = cfg.Levels[:depth]
-			points = append(points, enumerate(sub)...)
+// leastDelayLines applies the paper's §5.4 optimal-line criterion to
+// the priced flat designs: for each (cache size, bus width) in axis
+// order it keeps the design with the least mean memory delay per
+// reference (Eq. 15), the smaller line winning a tie.
+func leastDelayLines(cfg Config, flat []Design) []Design {
+	type pair struct{ kb, bus int }
+	best := make(map[pair]Design)
+	for _, d := range flat {
+		k := pair{d.CacheKB, d.BusBits}
+		if b, ok := best[k]; !ok || d.Delay < b.Delay || !(b.Delay < d.Delay) && d.LineBytes < b.LineBytes {
+			best[k] = d
 		}
-		return points, nil
 	}
-	// LineModeOptimal: one L1 line per (size, bus), chosen by the
-	// §5.4 mean-delay criterion over the configured hit source.
-	var points []point
+	var picks []Design
 	for _, kb := range cfg.CacheKB {
 		for _, bus := range cfg.BusBits {
-			line, ok, err := optimalLine(ctx, cfg.Config, hit, kb, bus)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			sub := cfg.Config
-			sub.CacheKB, sub.LineBytes, sub.BusBits = []int{kb}, []int{line}, []int{bus}
-			for depth := 0; depth < depths; depth++ {
-				sub.Levels = cfg.Levels[:depth]
-				points = append(points, enumerate(sub)...)
+			if d, ok := best[pair{kb, bus}]; ok {
+				picks = append(picks, d)
 			}
 		}
 	}
-	return points, nil
-}
-
-// optimalLine picks the best L1 line for one (size, bus) pair among
-// the config's line_bytes candidates that satisfy line >= 2D, via
-// linesize.MeanDelayOptimal on the hit source. ok is false when no
-// candidate fits the bus.
-func optimalLine(ctx context.Context, cfg Config, hit hitRatioFunc, kb, busBits int) (int, bool, error) {
-	d := busBits / 8
-	candidates := make([]int, 0, len(cfg.LineBytes))
-	for _, l := range cfg.LineBytes {
-		if l >= 2*d {
-			candidates = append(candidates, l)
-		}
-	}
-	sort.Ints(candidates)
-	switch len(candidates) {
-	case 0:
-		return 0, false, nil
-	case 1:
-		return candidates[0], true, nil
-	}
-	s := &hitSurface{ctx: ctx, hit: hit}
-	// NSPerByte = TransferNS/D makes linesize's normalized timing
-	// (c = 1 + λβ, penalty β·L/D) coincide with the sweep's
-	// (c = 1 + LatencyNS/CPUNS, β = TransferNS/CPUNS).
-	best, err := linesize.MeanDelayOptimal(s, linesize.Config{
-		CacheSize: kb << 10,
-		BusWidth:  d,
-		LatencyNS: cfg.LatencyNS,
-		NSPerByte: cfg.TransferNS / float64(d),
-		Lines:     candidates,
-	}, cfg.TransferNS/cfg.CPUNS)
-	if err != nil {
-		return 0, false, err
-	}
-	if s.err != nil {
-		return 0, false, s.err
-	}
-	return best, true, nil
-}
-
-// hitSurface adapts a hitRatioFunc to the missratio.Surface interface
-// linesize selects over, capturing the first underlying error (the
-// interface has no error channel).
-type hitSurface struct {
-	ctx context.Context
-	hit hitRatioFunc
-	err error
-}
-
-func (s *hitSurface) MissRatio(size, line int) float64 {
-	hr, err := s.hit(s.ctx, size, line)
-	if err != nil {
-		if s.err == nil {
-			s.err = err
-		}
-		return 1
-	}
-	return 1 - hr
+	return picks
 }
 
 // powerProxy computes the per-reference access-energy proxy of a

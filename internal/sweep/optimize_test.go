@@ -3,11 +3,14 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"tradeoff/internal/obs"
 )
 
 func optCfg() OptimizeConfig {
@@ -160,6 +163,32 @@ func TestOptimizeLineModeOptimal(t *testing.T) {
 				t.Fatalf("line %d beaten by line %d at %dK/%d-bit", d.LineBytes, e.LineBytes, d.CacheKB, d.BusBits)
 			}
 		}
+	}
+}
+
+// TestOptimizeSpans pins the search's trace shape: it prices through
+// the sweep's drivers under its own span name, one optimize_point per
+// distinct flat (cache_kb, line) geometry and one per deeper design,
+// and opens no sweep_point span, so per-sweep span counts stay sweeps'.
+func TestOptimizeSpans(t *testing.T) {
+	tracer := obs.NewTracer()
+	res, err := Optimize(obs.WithTracer(context.Background(), tracer), optCfg(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name string `json:"name"`
+	}
+	if err := json.Unmarshal(tracer.JSON(), &events); err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, ev := range events {
+		spans[ev.Name]++
+	}
+	// 2 sizes × 2 lines price the 8 flat designs; 32 designs are deeper.
+	if res.Total != 40 || spans["optimize_point"] != 4+32 || spans["sweep_point"] != 0 {
+		t.Fatalf("%d designs, spans %v: want 40 designs, 36 optimize_point and no sweep_point", res.Total, spans)
 	}
 }
 

@@ -99,20 +99,11 @@ func RunCaches(ctx context.Context, cfg Config, workers int, caches Caches) ([]D
 	surf := resolveSurface(ctx, cfg, caches)
 
 	ctx = obs.WithSpanName(ctx, "sweep_point")
-	var out []Design
-	var err error
+	run := runFlat
 	if len(cfg.Levels) > 0 {
-		out, err = engine.Map(ctx, points, workers, func(ctx context.Context, p point) (Design, error) {
-			if s := obs.CurrentSpan(ctx); s != nil {
-				s.SetArg("cache_kb", p.cacheKB)
-				s.SetArg("line", p.line)
-				s.SetArg("bus_bits", p.busBits)
-			}
-			return evaluateHierarchy(ctx, cfg, surf, p)
-		})
-	} else {
-		out, err = runFlat(ctx, cfg, workers, surf, points)
+		run = runHierarchy
 	}
+	out, err := run(ctx, cfg, workers, surf, points)
 	if err != nil {
 		return nil, err
 	}
@@ -158,6 +149,19 @@ func runFlat(ctx context.Context, cfg Config, workers int, surf surface, points 
 		}
 	}
 	return out, nil
+}
+
+// runHierarchy evaluates hierarchy points on the pool, one span per
+// design in the caller's span name, results in points order.
+func runHierarchy(ctx context.Context, cfg Config, workers int, surf surface, points []point) ([]Design, error) {
+	return engine.Map(ctx, points, workers, func(ctx context.Context, p point) (Design, error) {
+		if s := obs.CurrentSpan(ctx); s != nil {
+			s.SetArg("cache_kb", p.cacheKB)
+			s.SetArg("line", p.line)
+			s.SetArg("bus_bits", p.busBits)
+		}
+		return evaluateHierarchy(ctx, cfg, surf, p)
+	})
 }
 
 // enumerate expands the config's axes into design points in
