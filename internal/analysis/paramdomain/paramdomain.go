@@ -1,24 +1,22 @@
-// Package paramdomain enforces the paper's parameter domains at
-// construction sites. Eqs. (1)–(9) only hold for α ∈ [0, 1], βm ≥ 1,
-// L ≥ D > 0, φ ≥ 0 and positive instruction/traffic counts; a
-// core.Params (or sweep.Config / simjob.Grid / service profile) built
-// outside those domains produces numbers that look plausible and mean
-// nothing.
+// Package paramdomain enforces Table 1's parameter domains where a
+// core.Params is built. Eqs. (1)–(9) only hold for α ∈ [0, 1],
+// βm ≥ 1, L ≥ D > 0, φ ≥ 0 and positive instruction/traffic counts; a
+// core.Params built outside those domains produces numbers that look
+// plausible and mean nothing.
 //
 // Two kinds of findings:
 //
 //  1. a composite literal or field write whose *constant* value lies
-//     outside the field's documented domain (α = 1.5, βm = 0, L < D,
-//     φ > L/D where all three are constants) — including constant
-//     entries of a slice-valued axis field like simjob.Grid.BetaM — and
+//     outside the field's Table 1 domain (α = 1.5, βm = 0), or a
+//     literal whose constant L, D and φ break L ≥ D or φ ≤ L/D, and
 //  2. a function that builds a non-empty core.Params composite literal
 //     but contains no reachable domain check — no Params.Validate()
 //     call and no call to a validation helper (a callee whose name
 //     contains "valid") — so runtime values bypass the domain entirely.
 //
-// Constant checks run on every struct in the rules table; the
-// Validate-reachability rule applies only to core.Params, the type
-// whose Validate method is the model's single domain authority.
+// Every other configuration type (sweep.Config, simjob.Grid, the mrc
+// and model specs) owns its domain in its Validate method alone; the
+// service runs those on every payload, and FuzzEndpoints drives them.
 package paramdomain
 
 import (
@@ -37,229 +35,49 @@ import (
 // Analyzer is the paramdomain check.
 var Analyzer = &lint.Analyzer{
 	Name: "paramdomain",
-	Doc:  "flags core.Params/sweep.Config/sweep.LevelAxes/sweep.OptimizeConfig/simjob.Grid/mrc.SamplerConfig/model.Spec constructions whose constant fields violate the paper's parameter domains (α ∈ [0,1], βm ≥ 1, L ≥ D > 0, sampling rate ∈ (0,1], mode ∈ {exact, model, auto}, area_budget > 0, hierarchy lines non-shrinking, …) and core.Params built without a reachable Validate() call",
+	Doc:  "flags core.Params constructions whose constant fields violate Table 1's parameter domains (α ∈ [0,1], βm ≥ 1, L ≥ D > 0, φ ≤ L/D, …) and core.Params built without a reachable Validate() call",
 	Run:  run,
 }
 
-// A domain is one field's allowed interval. NaN bounds are open ends.
+// A domain is one field's allowed interval; max may be +Inf.
 type domain struct {
-	min, max         float64
-	minExcl, maxExcl bool
+	min, max float64
+	minExcl  bool
 }
 
-func (d domain) contains(v float64) bool {
-	if math.IsNaN(v) {
-		return false
+func (d domain) contains(v float64) bool { // false for NaN
+	if d.minExcl {
+		return v > d.min && v <= d.max
 	}
-	if !math.IsNaN(d.min) {
-		if d.minExcl && v <= d.min {
-			return false
-		}
-		if v < d.min {
-			return false
-		}
-	}
-	if !math.IsNaN(d.max) {
-		if d.maxExcl && v >= d.max {
-			return false
-		}
-		if v > d.max {
-			return false
-		}
-	}
-	return true
+	return v >= d.min && v <= d.max
 }
 
 func (d domain) String() string {
-	lo, hi := "(-inf", "+inf)"
-	if !math.IsNaN(d.min) {
-		if d.minExcl {
-			lo = fmt.Sprintf("(%g", d.min)
-		} else {
-			lo = fmt.Sprintf("[%g", d.min)
-		}
+	lo, hi := "[", fmt.Sprintf("%g]", d.max)
+	if d.minExcl {
+		lo = "("
 	}
-	if !math.IsNaN(d.max) {
-		if d.maxExcl {
-			hi = fmt.Sprintf("%g)", d.max)
-		} else {
-			hi = fmt.Sprintf("%g]", d.max)
-		}
+	if math.IsInf(d.max, 1) {
+		hi = "+inf)"
 	}
-	return lo + ", " + hi
+	return fmt.Sprintf("%s%g, %s", lo, d.min, hi)
 }
 
-var nan = math.NaN()
+var inf = math.Inf(1)
 
-func atLeast(v float64) domain       { return domain{min: v, max: nan} }
-func positive() domain               { return domain{min: 0, max: nan, minExcl: true} }
-func interval(lo, hi float64) domain { return domain{min: lo, max: hi} }
-
-// ruledStruct describes one struct whose fields carry domains.
-// pkgElem matches both the real import path's last element and the
-// short analysistest fixture path.
-type ruledStruct struct {
-	pkgElem, name string
-	fields        map[string]domain
-	// elems gives the domain each element of a slice-valued field must
-	// satisfy, checked for constant entries of an inline []T literal.
-	elems map[string]domain
-	// enums gives the allowed constant values of a string-valued field
-	// ("" always means "use the default" and must be listed explicitly
-	// when it is legal).
-	enums map[string][]string
-	// needsValidate marks the type whose construction requires a
-	// reachable Validate()/domain-check call in the same function.
-	needsValidate bool
+// paramsDomains encodes Table 1's field domains of core.Params.
+var paramsDomains = map[string]domain{
+	"E":     {min: 0, max: inf, minExcl: true},
+	"R":     {min: 0, max: inf},
+	"W":     {min: 0, max: inf},
+	"Alpha": {min: 0, max: 1},
+	"Phi":   {min: 0, max: inf},
+	"D":     {min: 0, max: inf, minExcl: true},
+	"L":     {min: 0, max: inf, minExcl: true},
+	"BetaM": {min: 1, max: inf},
 }
 
-// modeEnum is the sweep/stall pricing-mode knob shared by
-// sweep.Config and simjob.Grid ("" selects exact).
-var modeEnum = []string{"", "exact", "model", "auto"}
-
-// rules encodes Table 1's domains (core.Params), the sweep engine's
-// config domain (zero selects a default, so only negatives are
-// constant-wrong there), the stall grid's axes, and the service's
-// application profile.
-var rules = []*ruledStruct{
-	{
-		pkgElem: "core", name: "Params", needsValidate: true,
-		fields: map[string]domain{
-			"E":     positive(),
-			"R":     atLeast(0),
-			"W":     atLeast(0),
-			"Alpha": interval(0, 1),
-			"Phi":   atLeast(0),
-			"D":     positive(),
-			"L":     positive(),
-			"BetaM": atLeast(1),
-		},
-	},
-	{
-		pkgElem: "sweep", name: "Config",
-		fields: map[string]domain{
-			"LatencyNS":  atLeast(0),
-			"TransferNS": atLeast(0),
-			"CPUNS":      atLeast(0),
-			"Assoc":      atLeast(0),
-			"AddrBits":   interval(0, 128),
-			"CtrlPins":   atLeast(0),
-			"SimRefs":    atLeast(0),
-			"MRCRate":    interval(0, 1),
-			"MRCBudget":  atLeast(0),
-		},
-		enums: map[string][]string{"Mode": modeEnum},
-	},
-	{
-		// One deeper hierarchy level's axes: sizes and lines enumerate
-		// physical caches, latency is a required absolute time (zero is
-		// not "default" here — SetDefaults only fills Assoc), and Assoc 0
-		// inherits the top level's.
-		pkgElem: "sweep", name: "LevelAxes",
-		fields: map[string]domain{
-			"Assoc":     atLeast(0),
-			"LatencyNS": positive(),
-		},
-		elems: map[string]domain{
-			"CacheKB":   positive(),
-			"LineBytes": positive(),
-		},
-	},
-	{
-		// A cost-constrained search: the area budget is the constraint
-		// that makes the search meaningful (required > 0); power budget
-		// and depth cap are optional (zero = unconstrained/default).
-		pkgElem: "sweep", name: "OptimizeConfig",
-		fields: map[string]domain{
-			"AreaBudget":  positive(),
-			"PowerBudget": atLeast(0),
-			"MaxLevels":   atLeast(0),
-		},
-		enums: map[string][]string{"LineMode": {"", "enumerate", "optimal"}},
-	},
-	{
-		// The stall grid's scalar knobs reject negatives (zero selects a
-		// default), and its axis slices enumerate physical design points:
-		// sizes and widths must be positive, βm ≥ 1 (Table 1), and a
-		// write buffer may only have a non-negative depth (0 = none).
-		pkgElem: "simjob", name: "Grid",
-		fields: map[string]domain{
-			"Refs":  atLeast(0),
-			"Assoc": atLeast(0),
-			"MSHRs": atLeast(0),
-			"Q":     atLeast(0),
-		},
-		elems: map[string]domain{
-			"CacheKB":    positive(),
-			"LineBytes":  positive(),
-			"BusBytes":   positive(),
-			"BetaM":      atLeast(1),
-			"WbufDepths": atLeast(0),
-		},
-		enums: map[string][]string{
-			"Mode":      modeEnum,
-			"WriteMiss": {"", "allocate", "around"},
-		},
-	},
-	{
-		pkgElem: "service", name: "ProfileRequest",
-		fields: map[string]domain{
-			"E": positive(),
-			"R": atLeast(0),
-			"W": atLeast(0),
-		},
-	},
-	{
-		// SHARDS sampler: a sampling rate must select a non-empty subset
-		// (rate ∈ (0, 1]) and the eviction heap needs room for at least
-		// one tracked block.
-		pkgElem: "mrc", name: "SamplerConfig",
-		fields: map[string]domain{
-			"Rate":   {min: 0, max: 1, minExcl: true},
-			"Budget": atLeast(1),
-		},
-	},
-	{
-		// An MRC profiling spec: line size must be a positive power of
-		// two (the power-of-two half is runtime-checked by Validate) and
-		// a pass needs at least one reference.
-		pkgElem: "mrc", name: "Spec",
-		fields: map[string]domain{
-			"LineSize": positive(),
-			"Refs":     positive(),
-		},
-	},
-	{
-		// An analytic-model curve spec: same shape as mrc.Spec, same
-		// domains.
-		pkgElem: "model", name: "Spec",
-		fields: map[string]domain{
-			"LineSize": positive(),
-			"Refs":     positive(),
-		},
-	},
-	{
-		// A cross-validation report: hit-ratio errors and the committed
-		// error bound are fractions of a ratio in [0, 1]; a budget of 0
-		// (or above 1) could never be met (or never fail) and marks a
-		// hand-built report as bogus.
-		pkgElem: "model", name: "Report",
-		fields: map[string]domain{
-			"MaxAbs":  interval(0, 1),
-			"MeanAbs": interval(0, 1),
-			"Budget":  {min: 0, max: 1, minExcl: true},
-		},
-	},
-}
-
-func ruleFor(t types.Type) *ruledStruct {
-	for _, r := range rules {
-		if typeutil.IsNamedSuffix(t, r.pkgElem, r.name) {
-			return r
-		}
-	}
-	return nil
-}
+func isParams(t types.Type) bool { return typeutil.IsNamedSuffix(t, "core", "Params") }
 
 func run(pass *lint.Pass) error {
 	for _, file := range pass.Files {
@@ -280,12 +98,11 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
-// checkLiteral verifies every constant field of a ruled composite
-// literal, then the cross-field constraints L ≥ D and φ ≤ L/D when
-// enough fields are constant to decide them.
+// checkLiteral verifies every constant field of a core.Params
+// composite literal, then the cross-field constraints L ≥ D and
+// φ ≤ L/D when enough fields are constant to decide them.
 func checkLiteral(pass *lint.Pass, lit *ast.CompositeLit) {
-	rule := ruleFor(pass.TypeOf(lit))
-	if rule == nil || len(lit.Elts) == 0 {
+	if !isParams(pass.TypeOf(lit)) || len(lit.Elts) == 0 {
 		return
 	}
 	strct, ok := typeutil.Deref(types.Unalias(pass.TypeOf(lit))).Underlying().(*types.Struct)
@@ -293,7 +110,6 @@ func checkLiteral(pass *lint.Pass, lit *ast.CompositeLit) {
 		return
 	}
 	consts := map[string]float64{}
-	exprs := map[string]ast.Expr{}
 	for i, elt := range lit.Elts {
 		name, value := "", ast.Expr(nil)
 		if kv, ok := elt.(*ast.KeyValueExpr); ok {
@@ -306,142 +122,21 @@ func checkLiteral(pass *lint.Pass, lit *ast.CompositeLit) {
 		if name == "" || value == nil {
 			continue
 		}
-		exprs[name] = value
-		if d, ruled := rule.elems[name]; ruled {
-			checkSliceElems(pass, rule.name, name, d, value)
-		}
-		if allowed, ruled := rule.enums[name]; ruled {
-			checkEnum(pass, rule.name, name, allowed, value)
-		}
 		v, isConst := constFloat(pass, value)
 		if !isConst {
 			continue
 		}
 		consts[name] = v
-		if d, ruled := rule.fields[name]; ruled && !d.contains(v) {
-			pass.Reportf(value.Pos(), "%s.%s = %g outside its domain %s", rule.name, name, v, d)
-		}
+		checkField(pass, name, value, v)
 	}
-	if rule.name == "Params" {
-		checkParamsCross(pass, lit.Pos(), consts)
-	}
-	if rule.pkgElem == "sweep" && rule.name == "Config" {
-		checkLevelsMonotone(pass, exprs)
-	}
+	checkParamsCross(pass, lit.Pos(), consts)
 }
 
-// checkLevelsMonotone enforces the static half of the hierarchy line
-// rule L_{i+1} ≥ L_i: down a sweep.Config's Levels, some ascending
-// line-size choice must exist. With constant entries the greedy check
-// is exact — carry the smallest line admissible so far; a level whose
-// largest constant line is below it can never satisfy monotonicity,
-// so every combination it contributes would be skipped and the level
-// is dead configuration.
-func checkLevelsMonotone(pass *lint.Pass, exprs map[string]ast.Expr) {
-	levelsLit, ok := ast.Unparen(exprs["Levels"]).(*ast.CompositeLit)
-	if !ok {
-		return
-	}
-	cur, haveCur := minConst(pass, exprs["LineBytes"])
-	for i, elt := range levelsLit.Elts {
-		lvl, ok := ast.Unparen(elt).(*ast.CompositeLit)
-		if !ok {
-			continue
-		}
-		var lines ast.Expr
-		for _, le := range lvl.Elts {
-			if kv, ok := le.(*ast.KeyValueExpr); ok {
-				if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "LineBytes" {
-					lines = kv.Value
-				}
-			}
-		}
-		if lines == nil {
-			continue // inherits the line above: keeps the running minimum
-		}
-		smallest, ok := minConst(pass, lines)
-		if !ok {
-			continue
-		}
-		if largest, ok := maxConst(pass, lines); ok && haveCur && largest < cur {
-			pass.Reportf(lines.Pos(), "Levels[%d] line sizes top out at %g, below the smallest line above (%g); lines must not shrink down the hierarchy", i, largest, cur)
-			continue
-		}
-		// The smallest admissible candidate at this level.
-		best, haveBest := math.Inf(1), false
-		for _, v := range constSliceVals(pass, lines) {
-			if (!haveCur || v >= cur) && v < best {
-				best, haveBest = v, true
-			}
-		}
-		if haveBest {
-			cur, haveCur = best, true
-		} else {
-			cur, haveCur = smallest, true // partially constant: stay conservative
-		}
-	}
-}
-
-// constSliceVals returns the constant numeric entries of an inline
-// slice literal (keyed entries skipped, like checkSliceElems).
-func constSliceVals(pass *lint.Pass, e ast.Expr) []float64 {
-	lit, ok := ast.Unparen(e).(*ast.CompositeLit)
-	if !ok {
-		return nil
-	}
-	var vals []float64
-	for _, elt := range lit.Elts {
-		if _, keyed := elt.(*ast.KeyValueExpr); keyed {
-			continue
-		}
-		if v, isConst := constFloat(pass, elt); isConst {
-			vals = append(vals, v)
-		}
-	}
-	return vals
-}
-
-// minConst and maxConst fold an inline slice literal's constant
-// entries; ok is false when none are constant (or e is nil).
-func minConst(pass *lint.Pass, e ast.Expr) (float64, bool) {
-	vals := constSliceVals(pass, e)
-	if len(vals) == 0 {
-		return 0, false
-	}
-	m := vals[0]
-	for _, v := range vals[1:] {
-		m = math.Min(m, v)
-	}
-	return m, true
-}
-
-func maxConst(pass *lint.Pass, e ast.Expr) (float64, bool) {
-	vals := constSliceVals(pass, e)
-	if len(vals) == 0 {
-		return 0, false
-	}
-	m := vals[0]
-	for _, v := range vals[1:] {
-		m = math.Max(m, v)
-	}
-	return m, true
-}
-
-// checkSliceElems verifies constant entries of an inline slice literal
-// against the field's per-element domain, e.g. BetaM: []int64{0, 4}.
-// Keyed entries ({2: 5}) are rare enough in axis literals to skip.
-func checkSliceElems(pass *lint.Pass, structName, fieldName string, d domain, value ast.Expr) {
-	lit, ok := ast.Unparen(value).(*ast.CompositeLit)
-	if !ok {
-		return
-	}
-	for i, elt := range lit.Elts {
-		if _, keyed := elt.(*ast.KeyValueExpr); keyed {
-			continue
-		}
-		if v, isConst := constFloat(pass, elt); isConst && !d.contains(v) {
-			pass.Reportf(elt.Pos(), "%s.%s[%d] = %g outside its domain %s", structName, fieldName, i, v, d)
-		}
+// checkField reports a constant value v of field name outside its
+// Table 1 domain.
+func checkField(pass *lint.Pass, name string, value ast.Expr, v float64) {
+	if d, ruled := paramsDomains[name]; ruled && !d.contains(v) {
+		pass.Reportf(value.Pos(), "Params.%s = %g outside its domain %s", name, v, d)
 	}
 }
 
@@ -459,54 +154,21 @@ func checkParamsCross(pass *lint.Pass, pos token.Pos, consts map[string]float64)
 	}
 }
 
-// checkFieldWrites verifies constant assignments to ruled fields,
-// e.g. p.Alpha = 1.5.
+// checkFieldWrites verifies constant assignments to core.Params
+// fields, e.g. p.Alpha = 1.5.
 func checkFieldWrites(pass *lint.Pass, assign *ast.AssignStmt) {
 	if assign.Tok != token.ASSIGN || len(assign.Lhs) != len(assign.Rhs) {
 		return
 	}
 	for i, lhs := range assign.Lhs {
 		sel, ok := lhs.(*ast.SelectorExpr)
-		if !ok {
+		if !ok || !isParams(pass.TypeOf(sel.X)) {
 			continue
 		}
-		rule := ruleFor(pass.TypeOf(sel.X))
-		if rule == nil {
-			continue
-		}
-		if allowed, ruled := rule.enums[sel.Sel.Name]; ruled {
-			checkEnum(pass, rule.name, sel.Sel.Name, allowed, assign.Rhs[i])
-		}
-		d, ruled := rule.fields[sel.Sel.Name]
-		if !ruled {
-			continue
-		}
-		if v, isConst := constFloat(pass, assign.Rhs[i]); isConst && !d.contains(v) {
-			pass.Reportf(assign.Rhs[i].Pos(), "%s.%s = %g outside its domain %s", rule.name, sel.Sel.Name, v, d)
+		if v, isConst := constFloat(pass, assign.Rhs[i]); isConst {
+			checkField(pass, sel.Sel.Name, assign.Rhs[i], v)
 		}
 	}
-}
-
-// checkEnum verifies a constant string field against its allowed
-// values, e.g. Config.Mode = "approximate".
-func checkEnum(pass *lint.Pass, structName, fieldName string, allowed []string, value ast.Expr) {
-	s, isConst := constString(pass, value)
-	if !isConst {
-		return
-	}
-	for _, a := range allowed {
-		if s == a {
-			return
-		}
-	}
-	quoted := make([]string, 0, len(allowed))
-	for _, a := range allowed {
-		if a != "" { // "" is the default, not something to suggest
-			quoted = append(quoted, fmt.Sprintf("%q", a))
-		}
-	}
-	pass.Reportf(value.Pos(), "%s.%s = %q, want one of %s (or empty for the default)",
-		structName, fieldName, s, strings.Join(quoted, ", "))
 }
 
 // checkValidateReachable reports non-empty core.Params literals in
@@ -514,14 +176,12 @@ func checkEnum(pass *lint.Pass, structName, fieldName string, allowed []string, 
 func checkValidateReachable(pass *lint.Pass, fn *ast.FuncDecl) {
 	var lits []*ast.CompositeLit
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.CompositeLit); ok && len(lit.Elts) > 0 {
-			if rule := ruleFor(pass.TypeOf(lit)); rule != nil && rule.needsValidate {
-				lits = append(lits, lit)
-			}
+		if lit, ok := n.(*ast.CompositeLit); ok && len(lit.Elts) > 0 && isParams(pass.TypeOf(lit)) {
+			lits = append(lits, lit)
 		}
 		return true
 	})
-	if len(lits) == 0 || hasDomainCheck(pass, fn.Body) {
+	if len(lits) == 0 || hasDomainCheck(fn.Body) {
 		return
 	}
 	for _, lit := range lits {
@@ -532,7 +192,7 @@ func checkValidateReachable(pass *lint.Pass, fn *ast.FuncDecl) {
 // hasDomainCheck reports whether the body calls Params.Validate or any
 // validation helper — a callee whose name contains "valid" (Validate,
 // validFraction, validAlpha, …).
-func hasDomainCheck(pass *lint.Pass, body *ast.BlockStmt) bool {
+func hasDomainCheck(body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
@@ -566,13 +226,4 @@ func constFloat(pass *lint.Pass, e ast.Expr) (float64, bool) {
 		return v, true
 	}
 	return 0, false
-}
-
-// constString resolves e to a constant string value.
-func constString(pass *lint.Pass, e ast.Expr) (string, bool) {
-	tv, ok := pass.TypesInfo.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }

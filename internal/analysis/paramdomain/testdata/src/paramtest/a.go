@@ -2,16 +2,10 @@ package paramtest
 
 import (
 	"core"
-	"model"
-	"mrc"
-	"simjob"
-	"sweep"
 )
 
-func use(p core.Params)     {}
-func useCfg(c sweep.Config) {}
-func useGrid(g simjob.Grid) {}
-func hitRatio() float64     { return 0.95 }
+func use(p core.Params) {}
+func hitRatio() float64 { return 0.95 }
 
 func constantViolations() {
 	p := core.Params{
@@ -64,92 +58,12 @@ func zeroValueIsFine() core.Params {
 	return core.Params{} // zero literal: error-path value, not a design point
 }
 
-func configDomains() {
-	c := sweep.Config{
-		LatencyNS: -60, // want `Config.LatencyNS = -60 outside its domain \[0, \+inf\)`
-		AddrBits:  256, // want `Config.AddrBits = 256 outside its domain \[0, 128\]`
-		CPUNS:     0,   // zero selects the default: fine
-		MRCRate:   1.5, // want `Config.MRCRate = 1.5 outside its domain \[0, 1\]`
-		MRCBudget: -1,  // want `Config.MRCBudget = -1 outside its domain \[0, \+inf\)`
-	}
-	useCfg(c)
-}
-
-func useSampler(s mrc.SamplerConfig) {}
-func useSpec(s mrc.Spec)             {}
-
-func mrcDomains() {
-	s := mrc.SamplerConfig{
-		Rate:   0, // want `SamplerConfig.Rate = 0 outside its domain \(0, 1\]`
-		Budget: 0, // want `SamplerConfig.Budget = 0 outside its domain \[1, \+inf\)`
-	}
-	s.Rate = 2 // want `SamplerConfig.Rate = 2 outside its domain \(0, 1\]`
-	useSampler(s)
-	useSampler(mrc.SamplerConfig{Rate: 0.1, Budget: 8192}) // in domain: fine
-	useSpec(mrc.Spec{
-		Workload: "ear",
-		Refs:     20000,
-		LineSize: -64, // want `Spec.LineSize = -64 outside its domain \(0, \+inf\)`
-	})
-}
-
-func gridDomains() {
-	g := simjob.Grid{
-		Refs:  -1, // want `Grid.Refs = -1 outside its domain \[0, \+inf\)`
-		MSHRs: -2, // want `Grid.MSHRs = -2 outside its domain \[0, \+inf\)`
-		Q:     0,  // zero selects the default: fine
-		CacheKB: []int{
-			8,
-			0, // want `Grid.CacheKB\[1\] = 0 outside its domain \(0, \+inf\)`
-		},
-		BetaM:      []int64{0, 4}, // want `Grid.BetaM\[0\] = 0 outside its domain \[1, \+inf\)`
-		WbufDepths: []int{0, 4},   // depth 0 means no buffer: fine
-	}
-	g.Assoc = -1 // want `Grid.Assoc = -1 outside its domain \[0, \+inf\)`
-	useGrid(g)
-}
-
 func positionalLiteral() {
 	// Unkeyed literal: fields resolve by declaration order.
 	p := core.Params{1e6, 0, 0, 2.0, 1, 4, 32, 10} // want `Params.Alpha = 2 outside its domain \[0, 1\]`
 	if p.Validate() == nil {
 		use(p)
 	}
-}
-
-func useModelSpec(s model.Spec) {}
-func useReport(r model.Report)  {}
-
-func modeEnums() {
-	c := sweep.Config{
-		SimRefs: 20000,
-		Mode:    "approximate", // want `Config.Mode = "approximate", want one of "exact", "model", "auto" \(or empty for the default\)`
-	}
-	c.Mode = "model" // in the enum: fine
-	c.Mode = "Model" // want `Config.Mode = "Model", want one of "exact", "model", "auto" \(or empty for the default\)`
-	useCfg(c)
-
-	g := simjob.Grid{
-		Mode:      "auto",
-		WriteMiss: "write-back", // want `Grid.WriteMiss = "write-back", want one of "allocate", "around" \(or empty for the default\)`
-	}
-	g.Mode = "sim" // want `Grid.Mode = "sim", want one of "exact", "model", "auto" \(or empty for the default\)`
-	useGrid(g)
-}
-
-func modelDomains() {
-	useModelSpec(model.Spec{
-		Workload: "nasa7",
-		Refs:     0,  // want `Spec.Refs = 0 outside its domain \(0, \+inf\)`
-		LineSize: 32, // fine
-	})
-	useReport(model.Report{
-		Workload: "nasa7",
-		MaxAbs:   1.5,   // want `Report.MaxAbs = 1.5 outside its domain \[0, 1\]`
-		MeanAbs:  -0.01, // want `Report.MeanAbs = -0.01 outside its domain \[0, 1\]`
-		Budget:   0,     // want `Report.Budget = 0 outside its domain \(0, 1\]`
-	})
-	useReport(model.Report{Workload: "zipf", MaxAbs: 0.02, MeanAbs: 0.01, Budget: 0.04, Within: true})
 }
 
 func suppressed() core.Params {

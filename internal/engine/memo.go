@@ -131,9 +131,21 @@ func (m *Memo[V]) do(ctx context.Context, key string, fn func(context.Context) (
 		f := &flight[V]{done: make(chan struct{})}
 		m.flights[key] = f
 		m.mu.Unlock()
+		m.fly(ctx, key, f, fn)
+		return f.val, outcomeMiss, f.err
+	}
+}
 
-		f.val, f.err = fn(ctx)
+// errFlightPanicked is what waiters on a flight whose fn panicked get.
+var errFlightPanicked = errors.New("engine: memoized computation panicked")
 
+// fly runs fn for the flight f of key and settles it. The settling is
+// deferred, so a panicking fn still releases the key: its waiters get
+// errFlightPanicked, nothing is cached, the next caller computes
+// afresh, and the panic continues up this goroutine.
+func (m *Memo[V]) fly(ctx context.Context, key string, f *flight[V], fn func(context.Context) (V, error)) {
+	f.err = errFlightPanicked
+	defer func() {
 		m.mu.Lock()
 		delete(m.flights, key)
 		if f.err == nil {
@@ -141,8 +153,8 @@ func (m *Memo[V]) do(ctx context.Context, key string, fn func(context.Context) (
 		}
 		m.mu.Unlock()
 		close(f.done)
-		return f.val, outcomeMiss, f.err
-	}
+	}()
+	f.val, f.err = fn(ctx)
 }
 
 // Get returns the cached value for key, refreshing its recency.

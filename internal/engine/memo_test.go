@@ -193,6 +193,58 @@ func TestMemoCancelledLeaderHandsOver(t *testing.T) {
 	}
 }
 
+// TestMemoPanicReleasesFlight checks a panicking computation does not
+// strand its key: the panic continues in the computing goroutine, a
+// caller waiting on the flight gets an error instead of blocking until
+// its own context ends, and a later Do for the key computes afresh.
+func TestMemoPanicReleasesFlight(t *testing.T) {
+	m := NewMemo[[]byte](4, 0, bytesSize)
+	inFlight, release := make(chan struct{}), make(chan struct{})
+	var leaderFlight *flight[[]byte]
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		_, _, _ = m.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+			m.mu.Lock()
+			leaderFlight = m.flights["k"]
+			m.mu.Unlock()
+			close(inFlight)
+			<-release
+			panic("boom")
+		})
+	}()
+
+	<-inFlight
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, _, err := m.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+			return []byte("waiter"), nil
+		})
+		waiterDone <- err
+	}()
+	close(release)
+	if p := <-recovered; p != "boom" {
+		t.Fatalf("computing goroutine recovered %v, want the panic to continue there", p)
+	}
+	m.mu.Lock()
+	stranded := m.flights["k"] == leaderFlight
+	m.mu.Unlock()
+	if stranded {
+		t.Fatal("the panicked flight still holds the key: every later caller would block")
+	}
+	// The waiter either was parked on the panicked flight or arrived
+	// after it settled and computed the key itself.
+	if err := <-waiterDone; err != nil && !errors.Is(err, errFlightPanicked) {
+		t.Fatalf("waiter err = %v, want nil or errFlightPanicked", err)
+	}
+	v, _, err := m.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
+		return []byte("later"), nil
+	})
+	if err != nil || (string(v) != "later" && string(v) != "waiter") {
+		t.Fatalf("later Do = %q, %v; want a fresh value", v, err)
+	}
+}
+
 func TestWriteCSV(t *testing.T) {
 	var b1, b2 bytes.Buffer
 	rows := [][]string{{"1", "a,b"}, {"2", `quo"te`}}

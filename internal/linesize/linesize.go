@@ -66,14 +66,28 @@ func SmithOptimal(s missratio.Surface, cfg Config, beta float64) (int, error) {
 		return 0, err
 	}
 	cNorm := cfg.CAt(beta)
-	best, bestV := 0, math.Inf(1)
-	for _, l := range cfg.Lines {
-		v := s.MissRatio(cfg.CacheSize, l) * (cNorm - 1 + beta*float64(l)/float64(cfg.BusWidth))
-		if v < bestV {
-			best, bestV = l, v
+	return argmin(cfg.Lines, beta, func(i int) float64 {
+		l := cfg.Lines[i]
+		return s.MissRatio(cfg.CacheSize, l) * (cNorm - 1 + beta*float64(l)/float64(cfg.BusWidth))
+	})
+}
+
+// argmin returns the first candidate line with the least objective,
+// objective(i) scoring lines[i]. It fails when no candidate's
+// objective is below +Inf — every one is +Inf or NaN, as when the
+// inputs overflow float64 — rather than return a line that was never
+// a candidate.
+func argmin(lines []int, beta float64, objective func(i int) float64) (int, error) {
+	best, bestV := -1, math.Inf(1)
+	for i := range lines {
+		if v := objective(i); v < bestV {
+			best, bestV = i, v
 		}
 	}
-	return best, nil
+	if best < 0 {
+		return 0, fmt.Errorf("linesize: no candidate line of %v has a finite objective at β = %g", lines, beta)
+	}
+	return lines[best], nil
 }
 
 // MeanDelayOptimal picks the line minimizing Eq. (15)'s mean memory
@@ -84,15 +98,11 @@ func MeanDelayOptimal(s missratio.Surface, cfg Config, beta float64) (int, error
 		return 0, err
 	}
 	cNorm := cfg.CAt(beta)
-	best, bestV := 0, math.Inf(1)
-	for _, l := range cfg.Lines {
+	return argmin(cfg.Lines, beta, func(i int) float64 {
+		l := cfg.Lines[i]
 		hr := 1 - s.MissRatio(cfg.CacheSize, l)
-		v := core.MeanDelayPerRef(hr, cNorm, beta, float64(l), float64(cfg.BusWidth))
-		if v < bestV {
-			best, bestV = l, v
-		}
-	}
-	return best, nil
+		return core.MeanDelayPerRef(hr, cNorm, beta, float64(l), float64(cfg.BusWidth))
+	})
 }
 
 // Point is one (line size, reduced delay) sample of Eq. (19).
@@ -136,13 +146,8 @@ func Eq19Optimal(s missratio.Surface, cfg Config, beta float64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	best, bestV := 0, math.Inf(-1)
-	for _, p := range pts {
-		if p.Reduced > bestV {
-			best, bestV = p.Line, p.Reduced
-		}
-	}
-	return best, nil
+	// Maximizing the reduced delay is minimizing its negation.
+	return argmin(cfg.Lines, beta, func(i int) float64 { return -pts[i].Reduced })
 }
 
 // UsefulBusSpeeds returns the bus speeds (among betas) at which line li

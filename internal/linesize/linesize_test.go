@@ -212,3 +212,36 @@ func TestSelectionRejectsBadConfig(t *testing.T) {
 		t.Fatal("UsefulBusSpeeds accepted bad config")
 	}
 }
+
+// nanSurface is a miss-ratio surface with no usable value anywhere.
+type nanSurface struct{}
+
+func (nanSurface) MissRatio(int, int) float64 { return math.NaN() }
+
+// TestSelectionRejectsNonFiniteObjectives pins that no selector
+// returns a line outside the candidates: when every objective is +Inf
+// (a 1e308 ns latency over a 1e-300 ns/B bus overflows c) or NaN,
+// SmithOptimal and MeanDelayOptimal fail instead of answering line 0,
+// and Eq19Optimal fails on the NaN surface.
+func TestSelectionRejectsNonFiniteObjectives(t *testing.T) {
+	overflow := Config{CacheSize: 8 << 10, BusWidth: 8, LatencyNS: 1e308, NSPerByte: 1e-300, Lines: []int{16, 32, 64}}
+	nan := figure6Configs()[0]
+	for _, c := range []struct {
+		name string
+		s    missratio.Surface
+		cfg  Config
+	}{
+		{"overflow", missratio.DefaultModel(), overflow},
+		{"NaN surface", nanSurface{}, nan},
+	} {
+		if l, err := SmithOptimal(c.s, c.cfg, 2); err == nil {
+			t.Errorf("%s: SmithOptimal = %d, <nil>; want an error", c.name, l)
+		}
+		if l, err := MeanDelayOptimal(c.s, c.cfg, 2); err == nil {
+			t.Errorf("%s: MeanDelayOptimal = %d, <nil>; want an error", c.name, l)
+		}
+	}
+	if l, err := Eq19Optimal(nanSurface{}, nan, 2); err == nil {
+		t.Errorf("NaN surface: Eq19Optimal = %d, <nil>; want an error", l)
+	}
+}

@@ -81,6 +81,7 @@ func TestCoveredAndValidate(t *testing.T) {
 		{Workload: "gcc", Seed: 1, Refs: 1000, LineSize: 32},
 		{Workload: "mrc:ear", Seed: 1, Refs: 1000, LineSize: 32},
 		{Workload: trace.Ear, Refs: 0, LineSize: 32},
+		{Workload: trace.Nasa7, Refs: 0, LineSize: 32},
 		{Workload: trace.Ear, Refs: -5, LineSize: 32},
 		{Workload: trace.Ear, Refs: 1000, LineSize: 48},
 		{Workload: trace.Ear, Refs: 1000, LineSize: 0},

@@ -4,34 +4,21 @@ import (
 	"context"
 	"math"
 
+	"tradeoff/internal/cache"
 	"tradeoff/internal/stall"
 	"tradeoff/internal/trace"
 )
 
-// StallSpec identifies one stall-grid point for analytic pricing —
-// the same knobs simjob.Grid enumerates, minus everything that only
-// matters to a cycle-level replay.
-type StallSpec struct {
-	Workload  string
-	Seed      uint64
-	Refs      int
-	CacheKB   int
-	LineBytes int
-	BusBytes  int
-	BetaM     int64
-	Assoc     int
-	Feature   stall.Feature
-	Pipelined bool
-	Q         int64
-	WriteMiss string // "allocate" (default) or "around"
-	WbufDepth int
-}
-
-// EstimateStall prices one stall-grid point without replaying a
-// trace: the hit ratio comes from the analytic curve, and the stall
-// decomposition from first-order timing arithmetic over the memory
-// model's fill schedule. cc may be nil (the curve is then built
-// privately).
+// EstimateStall prices one stall-grid point — cfg over refs
+// references of the named workload's trace at seed — without replaying
+// the trace: the hit ratio comes from the analytic curve, and the
+// stall decomposition from first-order timing arithmetic over the
+// memory model's fill schedule. It admits exactly the configurations a
+// replay admits: cfg's cache and memory must pass the Validate calls
+// cache.New and memory.New make, and fail with the same errors. The
+// estimate prices a stall grid's caches (LRU, write-back, no
+// prefetch); cfg.MSHRs does not enter it. cc may be nil (the curve is
+// then built privately).
 //
 // The estimate is deliberately coarser than the hit-ratio tier — it
 // is the grid-screening answer, not the measurement:
@@ -75,8 +62,15 @@ type StallSpec struct {
 // miss-count error amplified by the stall share; FS/BL φ are
 // near-exact. The measured budgets are documented in DESIGN.md §5.8
 // and pinned by TestEstimateStall (epsStallPhi, stallCycleBudget).
-func EstimateStall(ctx context.Context, spec StallSpec, cc *Cache) (stall.Result, error) {
-	cSpec := Spec{Workload: spec.Workload, Seed: spec.Seed, Refs: spec.Refs, LineSize: spec.LineBytes}
+func EstimateStall(ctx context.Context, workload string, seed uint64, refs int, cfg stall.Config, cc *Cache) (stall.Result, error) {
+	if err := cfg.Cache.Validate(); err != nil {
+		return stall.Result{}, err
+	}
+	if err := cfg.Memory.Validate(); err != nil {
+		return stall.Result{}, err
+	}
+	lineBytes, busBytes := cfg.Cache.LineSize, cfg.Memory.BusWidth
+	cSpec := Spec{Workload: workload, Seed: seed, Refs: refs, LineSize: lineBytes}
 	var curve interface {
 		HitRatioAssoc(int, int) float64
 	}
@@ -97,10 +91,9 @@ func EstimateStall(ctx context.Context, spec StallSpec, cc *Cache) (stall.Result
 		curve = c
 	}
 
-	n := float64(spec.Refs)
-	size := spec.CacheKB << 10
-	h := curve.HitRatioAssoc(size, spec.Assoc)
-	tr, err := workloadTraits(spec.Workload, spec.Seed, spec.LineBytes)
+	n := float64(refs)
+	h := curve.HitRatioAssoc(cfg.Cache.Size, cfg.Cache.Assoc)
+	tr, err := workloadTraits(workload, seed, lineBytes)
 	if err != nil {
 		return stall.Result{}, err
 	}
@@ -115,14 +108,14 @@ func EstimateStall(ctx context.Context, spec StallSpec, cc *Cache) (stall.Result
 
 	// Fill timing from the memory model's schedule (memory.Fill):
 	// critical chunk after βm, whole line after lineTime.
-	k := spec.LineBytes / spec.BusBytes
+	k := lineBytes / busBytes
 	if k < 1 {
 		k = 1
 	}
-	betaM := float64(spec.BetaM)
+	betaM := float64(cfg.Memory.BetaM)
 	lineTime := float64(k) * betaM
-	if spec.Pipelined {
-		lineTime = betaM + float64(spec.Q)*float64(k-1)
+	if cfg.Memory.Pipelined {
+		lineTime = betaM + float64(cfg.Memory.Q)*float64(k-1)
 	}
 	crit := betaM
 	shadow := math.Max(0, lineTime-crit)
@@ -139,7 +132,7 @@ func EstimateStall(ctx context.Context, spec StallSpec, cc *Cache) (stall.Result
 	}
 
 	var perMiss float64
-	switch spec.Feature {
+	switch cfg.Feature {
 	case stall.FS:
 		perMiss = lineTime
 	case stall.BL:
@@ -155,7 +148,7 @@ func EstimateStall(ctx context.Context, spec StallSpec, cc *Cache) (stall.Result
 	}
 	fills := n * missRate
 	var writeStall float64
-	if spec.WriteMiss == "around" {
+	if cfg.Cache.WriteMiss == cache.WriteAround {
 		// Write misses bypass: one memory cycle each, additive; only
 		// read misses fetch lines.
 		writeStall = wf * n * missRate * betaM
@@ -172,28 +165,26 @@ func EstimateStall(ctx context.Context, spec StallSpec, cc *Cache) (stall.Result
 	flushCycles := fills * dirty * lineTime
 
 	res := stall.Result{
-		Refs:       uint64(spec.Refs),
+		Refs:       uint64(refs),
 		Misses:     uint64(math.Round(fills)),
 		E:          uint64(math.Round(n * gbar)),
 		FillStall:  int64(math.Round(fills * perMiss)),
 		WriteStall: int64(math.Round(writeStall)),
 	}
 	res.BaseCycles = int64(res.E)
-	if spec.WbufDepth > 0 {
+	if cfg.WriteBufferDepth > 0 {
 		res.HiddenFlush = int64(math.Round(flushCycles))
 	} else {
 		res.FlushStall = int64(math.Round(flushCycles))
 	}
 	res.Cycles = res.BaseCycles + res.FillStall + res.FlushStall + res.WriteStall
-	if res.Misses > 0 && spec.BetaM > 0 {
+	if res.Misses > 0 {
 		res.Phi = float64(res.FillStall) / (float64(res.Misses) * betaM)
 	}
-	if maxPhi := float64(spec.LineBytes) / float64(spec.BusBytes); maxPhi > 0 {
-		res.PhiFraction = res.Phi / maxPhi
-	}
-	res.Traffic = uint64(math.Round(fills*float64(spec.LineBytes) +
-		fills*dirty*float64(spec.LineBytes) +
-		wf*n*missRate*float64(spec.BusBytes)))
+	res.PhiFraction = res.Phi / (float64(lineBytes) / float64(busBytes))
+	res.Traffic = uint64(math.Round(fills*float64(lineBytes) +
+		fills*dirty*float64(lineBytes) +
+		wf*n*missRate*float64(busBytes)))
 	return res, nil
 }
 

@@ -60,20 +60,16 @@ func TestEstimateStall(t *testing.T) {
 			for _, kb := range sizesKB {
 				for _, f := range stall.Features() {
 					for _, betaM := range betas {
-						got, err := EstimateStall(context.Background(), StallSpec{
-							Workload: w, Seed: seed, Refs: refs,
-							CacheKB: kb, LineBytes: 32, BusBytes: 4,
-							BetaM: betaM, Assoc: 2, Feature: f,
-							WriteMiss: "allocate",
-						}, nil)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := stall.Run(stall.Config{
+						cfg := stall.Config{
 							Cache:   cache.Config{Size: kb << 10, LineSize: 32, Assoc: 2, Replacement: cache.LRU},
 							Memory:  memory.Config{BetaM: betaM, BusWidth: 4},
 							Feature: f,
-						}, tr)
+						}
+						got, err := EstimateStall(context.Background(), w, seed, refs, cfg, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := stall.Run(cfg, tr)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -102,14 +98,14 @@ func TestEstimateStall(t *testing.T) {
 // write-around adds WriteStall and sheds fills, and a write buffer
 // moves flush cycles from FlushStall to HiddenFlush verbatim.
 func TestEstimateStallShape(t *testing.T) {
-	base := StallSpec{
-		Workload: trace.Ear, Seed: 7, Refs: 50_000,
-		CacheKB: 8, LineBytes: 32, BusBytes: 4,
-		BetaM: 4, Assoc: 2, Feature: stall.BL,
-		WriteMiss: "allocate",
+	const refs, seed = 50_000, 7
+	base := stall.Config{
+		Cache:   cache.Config{Size: 8 << 10, LineSize: 32, Assoc: 2, Replacement: cache.LRU},
+		Memory:  memory.Config{BetaM: 4, BusWidth: 4},
+		Feature: stall.BL,
 	}
 	ctx := context.Background()
-	alloc, err := EstimateStall(ctx, base, nil)
+	alloc, err := EstimateStall(ctx, trace.Ear, seed, refs, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +120,8 @@ func TestEstimateStallShape(t *testing.T) {
 	}
 
 	around := base
-	around.WriteMiss = "around"
-	ar, err := EstimateStall(ctx, around, nil)
+	around.Cache.WriteMiss = cache.WriteAround
+	ar, err := EstimateStall(ctx, trace.Ear, seed, refs, around, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +133,8 @@ func TestEstimateStallShape(t *testing.T) {
 	}
 
 	buffered := base
-	buffered.WbufDepth = 4
-	bf, err := EstimateStall(ctx, buffered, nil)
+	buffered.WriteBufferDepth = 4
+	bf, err := EstimateStall(ctx, trace.Ear, seed, refs, buffered, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +143,53 @@ func TestEstimateStallShape(t *testing.T) {
 			bf.FlushStall, bf.HiddenFlush, alloc.FlushStall)
 	}
 
-	if _, err := EstimateStall(ctx, StallSpec{Workload: "gcc", Seed: 1, Refs: 1000,
-		CacheKB: 8, LineBytes: 32, BusBytes: 4, BetaM: 4, Assoc: 2, Feature: stall.FS}, nil); err == nil {
+	if _, err := EstimateStall(ctx, "gcc", 1, 1000, base, nil); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// TestEstimateStallAdmitsReplayDomain pins that the analytic tier
+// admits exactly the configurations a replay admits: every cache or
+// memory configuration stall.Run rejects, EstimateStall rejects with
+// the identical error, before any curve is built — so a bus width of
+// 0 is an error, not an integer division by zero, and βm < 1 is an
+// error, not a negative cycle count.
+func TestEstimateStallAdmitsReplayDomain(t *testing.T) {
+	valid := stall.Config{
+		Cache:   cache.Config{Size: 8 << 10, LineSize: 32, Assoc: 2, Replacement: cache.LRU},
+		Memory:  memory.Config{BetaM: 10, BusWidth: 4},
+		Feature: stall.NB,
+	}
+	src, err := trace.NewWorkload(trace.Ear, 1994)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.Collect(src, 2000)
+	for name, mutate := range map[string]func(*stall.Config){
+		"bus width 0":      func(c *stall.Config) { c.Memory.BusWidth = 0 },
+		"bus width 3":      func(c *stall.Config) { c.Memory.BusWidth = 3 },
+		"bus width 64":     func(c *stall.Config) { c.Memory.BusWidth, c.Cache.LineSize = 64, 64 },
+		"βm 0":             func(c *stall.Config) { c.Memory.BetaM = 0 },
+		"βm -5":            func(c *stall.Config) { c.Memory.BetaM = -5 },
+		"pipelined q 0":    func(c *stall.Config) { c.Memory.Pipelined = true },
+		"assoc 3":          func(c *stall.Config) { c.Cache.Assoc = 3 },
+		"assoc -1":         func(c *stall.Config) { c.Cache.Assoc = -1 },
+		"24 KiB cache":     func(c *stall.Config) { c.Cache.Size = 24 << 10 },
+		"line 48":          func(c *stall.Config) { c.Cache.LineSize = 48 },
+		"line above cache": func(c *stall.Config) { c.Cache.Size, c.Cache.LineSize = 32, 64 },
+	} {
+		cfg := valid
+		mutate(&cfg)
+		_, want := stall.Run(cfg, tr)
+		if want == nil {
+			t.Fatalf("%s: the replay accepted the configuration", name)
+		}
+		_, got := EstimateStall(context.Background(), trace.Ear, 1994, 2000, cfg, nil)
+		if got == nil || got.Error() != want.Error() {
+			t.Errorf("%s: EstimateStall error %v, want the replay's %q", name, got, want)
+		}
+	}
+	if _, err := EstimateStall(context.Background(), trace.Ear, 1994, 2000, valid, nil); err != nil {
+		t.Fatalf("valid configuration rejected: %v", err)
 	}
 }

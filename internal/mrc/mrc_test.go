@@ -233,6 +233,8 @@ func TestSamplerConfigValidate(t *testing.T) {
 		{SamplerConfig{Rate: 1.5, Budget: 100}, false},
 		{SamplerConfig{Rate: math.NaN(), Budget: 100}, false},
 		{SamplerConfig{Rate: 0.5, Budget: 0}, false},
+		{SamplerConfig{Rate: 0, Budget: 0}, false},
+		{SamplerConfig{Rate: 2, Budget: 8192}, false},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -397,6 +399,7 @@ func TestSpecValidate(t *testing.T) {
 		{Workload: trace.Ear, Refs: 0, LineSize: 64},
 		{Workload: trace.Ear, Refs: 1000, LineSize: 48},
 		{Workload: trace.Ear, Refs: 1000, LineSize: 64, Sampled: true},
+		{Workload: trace.Ear, Refs: 20000, LineSize: -64},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -13,10 +13,10 @@ import (
 // distinct thresholds is far finer than any rate this package needs.
 const shardsModulus = 1 << 24
 
-// SamplerConfig tunes a SampledProfiler. The domains are enforced by
-// Validate and by the paramdomain analyzer: Rate ∈ (0, 1] and
-// Budget ≥ 1 — a zero value is an invalid config, not a default; use
-// DefaultSampler for the documented starting point.
+// SamplerConfig tunes a SampledProfiler. Validate enforces the
+// domains: Rate ∈ (0, 1] and Budget ≥ 1 — a zero value is an invalid
+// config, not a default; use DefaultSampler for the documented
+// starting point.
 type SamplerConfig struct {
 	// Rate is the initial sampling rate T/P: the expected fraction of
 	// distinct blocks (and so of references) the profiler tracks.

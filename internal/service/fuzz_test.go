@@ -92,6 +92,13 @@ func FuzzEndpoints(f *testing.F) {
 	for _, mode := range modes {
 		fuzzSeed(f, "/v1/stall", fmt.Sprintf(`{"programs":["ear","zipf"],"refs":2000,"features":["FS","NB"],"mode":%q}`, mode))
 	}
+	// Points outside the replay's domain on the analytic stall tier,
+	// which once divided by a zero bus width and priced the rest.
+	for _, mode := range []string{sweep.ModeModel, sweep.ModeAuto} {
+		for _, axis := range []string{`"bus_bytes":[0]`, `"beta_m":[-5]`, `"bus_bytes":[3]`, `"assoc":3`} {
+			fuzzSeed(f, "/v1/stall", fmt.Sprintf(`{"programs":["ear"],"refs":2000,"features":["FS","NB"],"mode":%q,%s}`, mode, axis))
+		}
+	}
 	for _, c := range nonFiniteCases {
 		fuzzSeed(f, c.path, c.body)
 	}

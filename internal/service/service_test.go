@@ -591,6 +591,51 @@ func TestStallRejects(t *testing.T) {
 	}
 }
 
+// TestStallModesShareReplayDomain pins that the analytic stall tier
+// admits exactly the replay's design points: a grid point outside the
+// cache or memory domain gets the replay's 422, word for word, in
+// every mode. The analytic tier used to price such points — a zero
+// bus width panicked with an integer division by zero and stranded the
+// memo flight, so a repeat hung, and βm < 1, an odd bus or a
+// non-power-of-two cache answered 200 with meaningless numbers.
+func TestStallModesShareReplayDomain(t *testing.T) {
+	h := New(Options{}).Handler()
+	stall := func(body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/stall", strings.NewReader(body)))
+		var e struct{ Error string }
+		_ = json.Unmarshal(rec.Body.Bytes(), &e)
+		return rec.Code, e.Error
+	}
+	for _, mode := range []string{sweep.ModeModel, sweep.ModeAuto} {
+		body := `{"mode":"` + mode + `","bus_bytes":[0]}`
+		for try := 0; try < 2; try++ {
+			code, msg := stall(body)
+			if code != http.StatusUnprocessableEntity || msg != "memory: bus width 0, want one of 4, 8, 16, 32" {
+				t.Fatalf("%s try %d: %d %q, want 422 and the replay's bus width error", body, try, code, msg)
+			}
+		}
+	}
+	for _, axis := range []string{
+		`"bus_bytes":[3]`, `"bus_bytes":[64],"line_bytes":[64]`, `"beta_m":[0]`, `"beta_m":[-5]`,
+		`"assoc":3`, `"cache_kb":[24]`,
+	} {
+		var exact string
+		for _, mode := range []string{sweep.ModeExact, sweep.ModeModel, sweep.ModeAuto} {
+			body := `{"programs":["ear"],"refs":2000,"features":["FS","NB"],"mode":"` + mode + `",` + axis + `}`
+			code, msg := stall(body)
+			if code != http.StatusUnprocessableEntity || msg == "" {
+				t.Fatalf("%s: %d %q, want 422 with an error", body, code, msg)
+			}
+			if mode == sweep.ModeExact {
+				exact = msg
+			} else if msg != exact {
+				t.Errorf("%s: error %q, want exact mode's %q", body, msg, exact)
+			}
+		}
+	}
+}
+
 func TestStallClientDisconnectCancels(t *testing.T) {
 	// Drive the handler directly with an already-cancelled request
 	// context: the replay pool must abort and report 499, not 200.

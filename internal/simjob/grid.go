@@ -41,12 +41,13 @@ type Grid struct {
 
 	Warm bool `json:"warm"` // measure from a warmed cache (see Options.Warm)
 
-	// Mode selects the evaluation tier, mirroring sweep.Config.Mode:
-	// "exact" (default) replays every point cycle by cycle; "model"
-	// answers every point from the analytic tier (internal/model,
-	// first-order stall arithmetic — see model.EstimateStall for the
-	// documented accuracy budget); "auto" is accepted and resolves
-	// exactly like "model", which covers every program Validate admits.
+	// Mode selects the evaluation tier by sweep.AnalyticMode, the rule
+	// sweep.Config.Mode follows: "exact" (default) replays every point
+	// cycle by cycle; "model" prices every point's stall.Config with
+	// the analytic tier (model.EstimateStall, first-order stall
+	// arithmetic with a documented accuracy budget), which admits
+	// exactly the points a replay admits; "auto" resolves exactly like
+	// "model", which covers every program Validate admits.
 	Mode string `json:"mode"`
 }
 
@@ -131,10 +132,8 @@ func (g *Grid) Validate() error {
 	if g.WriteMiss != "allocate" && g.WriteMiss != "around" {
 		return fmt.Errorf("simjob: write_miss %q, want \"allocate\" or \"around\"", g.WriteMiss)
 	}
-	switch g.Mode {
-	case sweep.ModeExact, sweep.ModeModel, sweep.ModeAuto:
-	default:
-		return fmt.Errorf("simjob: mode %q, want %q, %q or %q", g.Mode, sweep.ModeExact, sweep.ModeModel, sweep.ModeAuto)
+	if err := sweep.ValidateMode(g.Mode); err != nil {
+		return fmt.Errorf("simjob: %w", err)
 	}
 	for _, d := range g.WbufDepths {
 		if d < 0 {
@@ -226,12 +225,12 @@ func (g *Grid) job(p Point) (Job, error) {
 	}, nil
 }
 
-// RunGrid enumerates the grid and evaluates every point, returning
-// results in enumeration order. Mode "exact" replays every point on the
-// runner's pool. Modes "model" and "auto" price every point inline with
-// model.EstimateStall — microseconds per point, so they need no pool at
-// all: Validate admits only named workloads, and the analytic tier
-// covers each of them.
+// RunGrid enumerates the grid and evaluates every point's job,
+// returning results in enumeration order. Mode "exact" replays the
+// jobs on the runner's pool (see Run). Modes "model" and "auto" price
+// each job's stall.Config inline with model.EstimateStall —
+// microseconds per point, so they need no pool at all: Validate admits
+// only named workloads, and the analytic tier covers each of them.
 func (r *Runner) RunGrid(ctx context.Context, g Grid, workers int) ([]PointResult, error) {
 	g.SetDefaults()
 	if err := g.Validate(); err != nil {
@@ -241,27 +240,6 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, workers int) ([]PointResul
 	if len(pts) == 0 {
 		return nil, fmt.Errorf("simjob: empty design grid (every line < D or > cache?)")
 	}
-	out := make([]PointResult, len(pts))
-	if g.Mode != sweep.ModeExact {
-		for i, p := range pts {
-			f, err := stall.ParseFeature(p.Feature)
-			if err != nil {
-				return nil, err
-			}
-			res, err := model.EstimateStall(ctx, model.StallSpec{
-				Workload: p.Program, Seed: g.Seed, Refs: g.Refs,
-				CacheKB: p.CacheKB, LineBytes: p.LineBytes, BusBytes: p.BusBytes,
-				BetaM: p.BetaM, Assoc: g.Assoc, Feature: f,
-				Pipelined: g.Pipelined, Q: g.Q,
-				WriteMiss: g.WriteMiss, WbufDepth: p.WbufDepth,
-			}, r.models)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = PointResult{Point: p, Source: "an:" + p.Program, Result: res}
-		}
-		return out, nil
-	}
 	jobs := make([]Job, len(pts))
 	for i, p := range pts {
 		j, err := g.job(p)
@@ -270,12 +248,37 @@ func (r *Runner) RunGrid(ctx context.Context, g Grid, workers int) ([]PointResul
 		}
 		jobs[i] = j
 	}
-	results, err := r.Run(ctx, jobs, Options{Workers: workers, Warm: g.Warm})
+	analytic := sweep.AnalyticMode(g.Mode)
+	var results []stall.Result
+	var err error
+	if analytic {
+		results, err = r.estimate(ctx, jobs)
+	} else {
+		results, err = r.Run(ctx, jobs, Options{Workers: workers, Warm: g.Warm})
+	}
 	if err != nil {
 		return nil, err
 	}
+	out := make([]PointResult, len(pts))
 	for i, p := range pts {
-		out[i] = PointResult{Point: p, Source: "replay", Result: results[i]}
+		source := "replay"
+		if analytic {
+			source = "an:" + p.Program
+		}
+		out[i] = PointResult{Point: p, Source: source, Result: results[i]}
+	}
+	return out, nil
+}
+
+// estimate prices every job with the analytic stall tier, in job order.
+func (r *Runner) estimate(ctx context.Context, jobs []Job) ([]stall.Result, error) {
+	out := make([]stall.Result, len(jobs))
+	for i, j := range jobs {
+		res, err := model.EstimateStall(ctx, j.Trace.Program, j.Trace.Seed, j.Trace.Refs, j.Cfg, r.models)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
 	}
 	return out, nil
 }

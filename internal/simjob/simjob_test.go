@@ -425,6 +425,10 @@ func TestParseGridRejectsBadInput(t *testing.T) {
 		`{"features": ["FSX"]}`,
 		`{"write_miss": "write-back"}`,
 		`{"refs": -1}`,
+		`{"mshrs": -2}`,
+		`{"assoc": -1}`,
+		`{"mode": "sim"}`,
+		`{"mode": "Model"}`,
 		`{"wbuf_depths": [-2]}`,
 		`{"pipelined": true}`,
 		`not json`,
@@ -478,8 +482,9 @@ func TestCanonicalStable(t *testing.T) {
 // TestGridModeModel pins the stall grid's mode knob: mode "model"
 // prices every point from the analytic tier (stamped "an:<program>",
 // byte-identical to calling model.EstimateStall directly), "auto"
-// resolves the same way while every named program is covered, and
-// an unknown mode is rejected at validation.
+// resolves the same way while every named program is covered, an
+// unknown mode is rejected at validation, and a point outside the
+// memory model's domain fails with the same error in every mode.
 func TestGridModeModel(t *testing.T) {
 	g := testGrid()
 	g.Mode = sweep.ModeModel
@@ -494,16 +499,11 @@ func TestGridModeModel(t *testing.T) {
 		if want := "an:" + pr.Program; pr.Source != want {
 			t.Fatalf("mode=model point source = %q, want %q", pr.Source, want)
 		}
-		f, err := stall.ParseFeature(pr.Feature)
+		j, err := gd.job(pr.Point)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := model.EstimateStall(context.Background(), model.StallSpec{
-			Workload: pr.Program, Seed: gd.Seed, Refs: gd.Refs,
-			CacheKB: pr.CacheKB, LineBytes: pr.LineBytes, BusBytes: pr.BusBytes,
-			BetaM: pr.BetaM, Assoc: gd.Assoc, Feature: f,
-			WriteMiss: gd.WriteMiss, WbufDepth: pr.WbufDepth,
-		}, nil)
+		direct, err := model.EstimateStall(context.Background(), pr.Program, gd.Seed, gd.Refs, j.Cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,5 +529,16 @@ func TestGridModeModel(t *testing.T) {
 	g.Mode = "approximate"
 	if _, err := r.RunGrid(context.Background(), g, 4); err == nil {
 		t.Fatal("unknown mode accepted")
+	}
+
+	// A βm of 0 is outside the memory model's domain: every mode
+	// rejects the grid with the replay's error.
+	g.BetaM = []int64{0, 4}
+	for _, mode := range []string{sweep.ModeExact, sweep.ModeModel, sweep.ModeAuto} {
+		g.Mode = mode
+		_, err := r.RunGrid(context.Background(), g, 4)
+		if err == nil || err.Error() != "memory: βm = 0, want >= 1" {
+			t.Errorf("mode %q, beta_m [0, 4]: err = %v, want the memory model's βm error", mode, err)
+		}
 	}
 }

@@ -64,9 +64,10 @@ type LevelAxes struct {
 	LatencyNS float64 `json:"latency_ns"`
 }
 
-// Evaluation modes: how the mode knob reinterprets hit_source.
-// ModeExact prices hit_source exactly as written. ModeModel re-prices
-// any workload-bearing source ("sim:", "mrc:", "mrc~:") with the
+// Evaluation modes: how the mode knob reinterprets hit_source here
+// and a stall grid's replays in internal/simjob. ModeExact prices
+// hit_source exactly as written. ModeModel re-prices any
+// workload-bearing source ("sim:", "mrc:", "mrc~:") with the
 // closed-form analytic tier (internal/model). The analytic tier covers
 // every workload Validate admits, so ModeAuto resolves exactly like
 // ModeModel; it stays an accepted spelling on the wire.
@@ -75,6 +76,21 @@ const (
 	ModeModel = "model"
 	ModeAuto  = "auto"
 )
+
+// ValidateMode rejects a mode outside {exact, model, auto}; callers
+// prefix their package's name to the error.
+func ValidateMode(mode string) error {
+	switch mode {
+	case ModeExact, ModeModel, ModeAuto:
+		return nil
+	}
+	return fmt.Errorf("mode %q, want %q, %q or %q", mode, ModeExact, ModeModel, ModeAuto)
+}
+
+// AnalyticMode reports whether mode prices from the analytic tier:
+// the one rule a sweep's hit source and a stall grid's points are
+// both resolved by.
+func AnalyticMode(mode string) bool { return mode == ModeModel || mode == ModeAuto }
 
 // hitSourcePrefixes are the workload-bearing hit-source forms, in
 // match order ("mrc~:" before "mrc:" so CutPrefix cannot mis-split).
@@ -123,7 +139,7 @@ func validateHitSource(hitSource string) error {
 // curve "an:w". The bare "model" surface carries no workload and
 // passes through under every mode. It assumes SetDefaults has run.
 func (c Config) EffectiveHitSource() string {
-	if _, name, ok := SourceWorkload(c.HitSource); ok && (c.Mode == ModeModel || c.Mode == ModeAuto) {
+	if _, name, ok := SourceWorkload(c.HitSource); ok && AnalyticMode(c.Mode) {
 		return "an:" + name
 	}
 	return c.HitSource
@@ -214,10 +230,8 @@ func (c *Config) Validate() error {
 	if err := validateHitSource(c.HitSource); err != nil {
 		return err
 	}
-	switch c.Mode {
-	case ModeExact, ModeModel, ModeAuto:
-	default:
-		return fmt.Errorf("sweep: mode %q, want %q, %q or %q", c.Mode, ModeExact, ModeModel, ModeAuto)
+	if err := ValidateMode(c.Mode); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
 	if err := (mrc.SamplerConfig{Rate: c.MRCRate, Budget: c.MRCBudget}).Validate(); err != nil {
 		return fmt.Errorf("sweep: %w", err)

@@ -207,7 +207,9 @@ func TestHierarchyConfigValidation(t *testing.T) {
 	}{
 		{"empty level cache_kb", func(c *Config) { c.Levels[0].CacheKB = nil }},
 		{"non-positive level cache_kb", func(c *Config) { c.Levels[0].CacheKB = []int{0} }},
+		{"zero level cache_kb beside a valid one", func(c *Config) { c.Levels[0].CacheKB = []int{0, 64} }},
 		{"non-positive level line", func(c *Config) { c.Levels[0].LineBytes = []int{-16} }},
+		{"negative level line", func(c *Config) { c.Levels[0].LineBytes = []int{-32} }},
 		{"negative level assoc", func(c *Config) { c.Levels[0].Assoc = -1 }},
 		{"zero level latency", func(c *Config) { c.Levels[0].LatencyNS = 0 }},
 		{"decreasing latency", func(c *Config) { c.Levels[1].LatencyNS = 45 }},

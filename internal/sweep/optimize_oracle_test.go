@@ -283,9 +283,10 @@ func optimizeSummary(r OptimizeResult) string {
 //     now fails with the area model's error, as in enumerate mode and
 //     /v1/sweep;
 //   - delays that overflow to +Inf on every line used to drop the
-//     (size, bus) pair (nothing beats linesize's +Inf start); the
-//     smallest line is now kept, and the service rejects its
-//     non-finite delay like any other.
+//     (size, bus) pair (nothing beat linesize's +Inf start, so it
+//     answered line 0, and linesize now fails instead); the smallest
+//     line is now kept, and the service rejects its non-finite delay
+//     like any other.
 func TestOptimizeOptimalDiffersFromOracle(t *testing.T) {
 	ctx := context.Background()
 	dup := oracleShapes()["sorted"]
@@ -332,8 +333,8 @@ func TestOptimizeOptimalDiffersFromOracle(t *testing.T) {
 	}
 
 	overflow := flat([]int{8}, []int{32, 64}, 1e308, 1e-300)
-	if _, err := oracleOptimize(ctx, overflow, 1); err == nil || !strings.Contains(err.Error(), "empty optimize space") {
-		t.Fatalf("per-point oracle on +Inf delays: err = %v, want an empty space", err)
+	if _, err := oracleOptimize(ctx, overflow, 1); err == nil || !strings.Contains(err.Error(), "no candidate line") {
+		t.Fatalf("per-point oracle on +Inf delays: err = %v, want linesize's no-candidate error", err)
 	}
 	res, err := Optimize(ctx, overflow, 1)
 	if err != nil {

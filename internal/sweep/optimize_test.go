@@ -198,9 +198,12 @@ func TestOptimizeValidation(t *testing.T) {
 		mutate func(*OptimizeConfig)
 	}{
 		{"missing area budget", func(c *OptimizeConfig) { c.AreaBudget = 0 }},
+		{"negative area budget", func(c *OptimizeConfig) { c.AreaBudget = -1e6 }},
 		{"negative power budget", func(c *OptimizeConfig) { c.PowerBudget = -1 }},
+		{"power budget -5", func(c *OptimizeConfig) { c.PowerBudget = -5 }},
 		{"bad line mode", func(c *OptimizeConfig) { c.LineMode = "best" }},
 		{"bad max levels", func(c *OptimizeConfig) { c.MaxLevels = -2 }},
+		{"max levels -1", func(c *OptimizeConfig) { c.MaxLevels = -1 }},
 		{"bad inner config", func(c *OptimizeConfig) { c.CacheKB = nil }},
 	} {
 		cfg := optCfg()

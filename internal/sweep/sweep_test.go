@@ -97,6 +97,10 @@ func TestValidateRejects(t *testing.T) {
 		`{"cache_kb": [8], "line_bytes": [32], "bus_bits": [12], "latency_ns": 1, "transfer_ns": 1, "cpu_ns": 1}`,
 		`{"cache_kb": [8], "line_bytes": [32], "bus_bits": [32], "latency_ns": 1, "transfer_ns": 1, "cpu_ns": 1, "sim_refs": -1}`,
 		`{"cache_kb": [8], "line_bytes": [32], "bus_bits": [32], "latency_ns": 1, "transfer_ns": 1, "cpu_ns": 1, "addr_bits": 4096}`,
+		`{"cache_kb": [8], "line_bytes": [32], "bus_bits": [32], "latency_ns": -60, "transfer_ns": 1, "cpu_ns": 1}`,
+		`{"cache_kb": [8], "line_bytes": [32], "bus_bits": [32], "latency_ns": 1, "transfer_ns": 1, "cpu_ns": 1, "addr_bits": 256}`,
+		`{"cache_kb": [8], "line_bytes": [32], "bus_bits": [32], "latency_ns": 1, "transfer_ns": 1, "cpu_ns": 1, "mrc_rate": 1.5}`,
+		`{"cache_kb": [8], "line_bytes": [32], "bus_bits": [32], "latency_ns": 1, "transfer_ns": 1, "cpu_ns": 1, "mrc_budget": -1}`,
 	}
 	for i, body := range cases {
 		if _, err := ParseConfig([]byte(body)); err == nil {
@@ -137,7 +141,7 @@ func TestValidateMode(t *testing.T) {
 			t.Errorf("mode %q rejected: %v", m, err)
 		}
 	}
-	for _, m := range []string{"fast", "EXACT", "analytic"} {
+	for _, m := range []string{"fast", "EXACT", "analytic", "approximate", "Model"} {
 		if _, err := ParseConfig([]byte(fmt.Sprintf(base, m))); err == nil {
 			t.Errorf("mode %q accepted", m)
 		}

@@ -203,4 +203,12 @@ func TestOptimalLineSizePublic(t *testing.T) {
 	if _, err := tradeoff.OptimalLineSize(tradeoff.LineSizeConfig{}, 2); err == nil {
 		t.Fatal("empty config accepted")
 	}
+	// A latency that overflows every candidate's objective to +Inf must
+	// be an error, not line 0, which was never a candidate.
+	if l, err := tradeoff.OptimalLineSize(tradeoff.LineSizeConfig{
+		CacheSize: 8 << 10, BusWidth: 8, LatencyNS: 1e308, NSPerByte: 1e-300,
+		Lines: []int{16, 32, 64},
+	}, 2); err == nil {
+		t.Fatalf("overflowing config: optimal line %d, <nil>; want an error", l)
+	}
 }
