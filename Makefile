@@ -51,17 +51,16 @@ loadbench-test:
 serve:
 	$(GO) run ./cmd/tradeoffd
 
+# Every benchmark: the ladder and one run per paper artifact, all in
+# the root bench_test.go.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) test -run '^$$' -bench . -benchmem .
 
-# Smoke-run the serial-vs-parallel benchmark pairs that sit on the
-# shared engine.Map pool (design-space sweep, trace-replay stall sweep,
-# cached service handler) with a single iteration; CI uses this to keep
-# them compiling and executable without paying for real measurement.
+# Run every row of the benchmark ladder (bench_test.go) once. One
+# iteration measures nothing; it checks that every row still builds,
+# runs and passes its own result checks, so CI blocks on it.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkSweepSerial|BenchmarkSweepParallel|BenchmarkTradeoffHandlerCached' -benchtime=1x .
-	$(GO) test -run=NONE -bench='BenchmarkStallSweep' -benchtime=1x ./internal/simjob
-	$(GO) test -run=NONE -bench='BenchmarkSweepSim$$|BenchmarkSweepMRC' -benchtime=1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkLadder$$' -benchtime 1x .
 
 # Race the 64-point sweep grid under re-simulation ("sim:ear", one
 # generated trace replayed through one cache per (cache size, line
@@ -69,11 +68,11 @@ bench-smoke:
 # ("mrc:ear" and "mrc~:ear", one pass per line size): the internal/mrc
 # headline numbers.
 bench-mrc:
-	$(GO) test -run=NONE -bench='BenchmarkSweepSim$$|BenchmarkSweepMRC' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkLadder/sweep_(sim|mrc)' -benchmem .
 
-# Re-measure the headline benchmarks and refresh the committed
-# baseline; CI diffs against it with `benchjson -compare`
-# (non-blocking).
+# Re-measure every ladder row (the median of five runs, with their
+# spread) and rewrite the committed baseline; CI diffs against it with
+# `benchjson -compare` (non-blocking).
 bench-record:
 	$(GO) run ./cmd/benchjson -o BENCH_sweep.json
 

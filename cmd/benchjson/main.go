@@ -1,46 +1,53 @@
-// Command benchjson measures the repo's headline benchmarks with
-// testing.Benchmark and writes them as a stable JSON document, so a
-// checked-in baseline (BENCH_sweep.json at the repo root) can ride
-// along with the code and CI can diff against it without parsing
-// `go test -bench` text output.
+// Command benchjson records the benchmark ladder, BenchmarkLadder in
+// the root bench_test.go (the repo's one micro-benchmark registry), as
+// a stable JSON document: the baseline BENCH_sweep.json rides along
+// with the code and CI diffs against it. benchjson keeps no benchmark
+// of its own. Run from the module root, it runs
 //
-// Usage:
+//	go test -run '^$' -bench '^BenchmarkLadder$' -benchmem -count 5
 //
-//	benchjson -o BENCH_sweep.json        # record a baseline
+// and reads go test's standard result lines, so `go test -bench` and
+// benchjson time the same code.
+//
+//	benchjson -o BENCH_sweep.json        # record a baseline (make bench-record)
 //	benchjson -compare BENCH_sweep.json  # re-measure and diff
 //
-// The schema is versioned ("tradeoff-bench/v1") and additive: one
-// entry per benchmark with iterations, ns/op, bytes/op and allocs/op.
-// -compare exits non-zero when any benchmark regresses by more than
-// -threshold (default 1.25×) over the baseline's ns/op; CI runs the
-// comparison non-blocking (continue-on-error), like bench-smoke, so a
-// slow runner flags but cannot block a merge.
-//
-// `make bench-record` regenerates the baseline.
+// The schema ("tradeoff-bench/v1") is additive: per ladder row, the
+// median ns/op, B/op and allocs/op of its five runs, and the median,
+// lowest and highest run of those and of each unit the row reports
+// with b.ReportMetric (ns/ref for the rows that walk a trace). A
+// failing row or go test run exits non-zero and writes
+// nothing. -compare exits non-zero when a row's median ns/op exceeds
+// -threshold (default 1.25×) times the baseline's; CI runs it
+// non-blocking, so a slow runner flags but cannot block a merge.
 package main
 
 import (
-	"context"
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"sort"
+	"strconv"
 	"strings"
-	"testing"
-	"time"
-
-	"tradeoff/internal/mrc"
-	"tradeoff/internal/obs"
-	"tradeoff/internal/simjob"
-	"tradeoff/internal/sweep"
-	"tradeoff/internal/trace"
 )
 
 // Schema is the document's version tag; bump only on breaking shape
-// changes, never for added benchmarks.
+// changes, never for added rows or fields.
 const Schema = "tradeoff-bench/v1"
+
+const (
+	// ladder is the benchmark benchjson records; each of its
+	// sub-benchmarks is one row of the document.
+	ladder = "BenchmarkLadder"
+	// runs is go test's -count: each row's median and spread are
+	// taken over this many runs.
+	runs = 5
+)
 
 // Document is the file benchjson writes and compares.
 type Document struct {
@@ -48,145 +55,24 @@ type Document struct {
 	Benchmarks []Result `json:"benchmarks"`
 }
 
-// Result is one benchmark measurement.
+// Result is one ladder row: the median ns/op, B/op and allocs/op of
+// its runs, and the spread of every unit it reports.
 type Result struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	Name        string            `json:"name"`
+	Runs        int               `json:"runs"`
+	Iterations  int               `json:"iterations"` // b.N summed over the runs
+	NsPerOp     float64           `json:"ns_per_op"`
+	BytesPerOp  int64             `json:"bytes_per_op"`
+	AllocsPerOp int64             `json:"allocs_per_op"`
+	Units       map[string]Spread `json:"units"` // ns/op, B/op, allocs/op and each b.ReportMetric unit (ns/ref)
 }
 
-// sweep64 is the 64-point grid bench_test.go's sweep benchmarks use:
-// 8 cache sizes × 4 line sizes × 2 bus widths, where re-simulation
-// generates one trace and replays it through 32 caches (one per cache
-// size × line size) and the MRC sources pay 4 passes.
-func sweep64(source string) sweep.Config {
-	return sweep.Config{
-		CacheKB:   []int{1, 2, 4, 8, 16, 32, 64, 128},
-		LineBytes: []int{16, 32, 64, 128},
-		BusBits:   []int{32, 64},
-		LatencyNS: 360, TransferNS: 60, CPUNS: 30,
-		SimRefs: 20_000, HitSource: source,
-	}
-}
-
-func benchSweep(source string) func(b *testing.B) {
-	cfg := sweep64(source)
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ds, err := sweep.Run(context.Background(), cfg, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(ds) != 64 {
-				b.Fatalf("designs = %d, want 64", len(ds))
-			}
-		}
-	}
-}
-
-// benchmarks is the recorded suite, in file order. Names are part of
-// the baseline document, so renaming one orphans its baseline entry.
-var benchmarks = []struct {
-	name string
-	fn   func(b *testing.B)
-}{
-	{"sweep_sim_64pt", benchSweep("sim:ear")},
-	{"sweep_mrc_64pt", benchSweep("mrc:ear")},
-	{"sweep_mrc_sampled_64pt", benchSweep("mrc~:ear")},
-	{"sweep_model_64pt", benchSweep("an:ear")},
-	{"optimize_mrc_40pt", func(b *testing.B) {
-		// The cost-constrained hierarchy search: 40 design points
-		// across three depths (flat, two-level, three-level) on the
-		// exact-MRC surface, budget-filtered and Pareto-marked.
-		cfg := sweep.OptimizeConfig{
-			Config: sweep.Config{
-				CacheKB: []int{4, 8}, LineBytes: []int{16, 32}, BusBits: []int{32, 64},
-				LatencyNS: 360, TransferNS: 60, CPUNS: 30,
-				SimRefs: 20_000, HitSource: "mrc:ear",
-				Levels: []sweep.LevelAxes{
-					{CacheKB: []int{32, 64}, LatencyNS: 90},
-					{CacheKB: []int{256}, LatencyNS: 180},
-				},
-			},
-			AreaBudget: 2e7,
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sweep.Optimize(context.Background(), cfg, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Total != 40 {
-				b.Fatalf("total = %d, want 40", res.Total)
-			}
-		}
-	}},
-	{"trace_gen_20k", func(b *testing.B) {
-		// The layer a trace_gen span covers: one request's trace.
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if refs := trace.Collect(trace.MustWorkload("ear", 1), 20_000); len(refs) != 20_000 {
-				b.Fatalf("refs = %d, want 20000", len(refs))
-			}
-		}
-	}},
-	{"mrc_pass_20k", func(b *testing.B) {
-		// The layer an mrc_pass span covers: one exact profile of a
-		// trace already collected.
-		refs := trace.Collect(trace.MustWorkload("ear", 1), 20_000)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c, err := mrc.ProfileRefs(refs, 64)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if c.Refs != 20_000 {
-				b.Fatalf("refs = %d, want 20000", c.Refs)
-			}
-		}
-	}},
-	{"stall_grid", func(b *testing.B) {
-		g := simjob.Grid{Refs: 20_000, Features: []string{"BL", "BNL3"}, BetaM: []int64{2, 8}}
-		r := simjob.NewRunner()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := r.RunGrid(context.Background(), g, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}},
-	{"span_ring_record", func(b *testing.B) {
-		// The flight recorder's per-span cost — the overhead every
-		// completed span pays on the request path.
-		r := obs.NewSpanRing(8192)
-		rec := obs.SpanRecord{Name: "bench", Start: time.Now(), Dur: time.Millisecond, TID: 1}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Record(rec)
-		}
-	}},
-	{"snapshot_tick", func(b *testing.B) {
-		// One metrics-history snapshot cycle at production scale: the
-		// runtime collector plus 20 summaries.
-		r := obs.NewRegistry()
-		for i := 0; i < 20; i++ {
-			hist := new(obs.Histogram)
-			hist.Observe(time.Millisecond)
-			r.Add(obs.Family{Name: fmt.Sprintf("bench_hist_%d", i), Kind: obs.KindSummary, Collect: obs.CollectHistogram(hist)})
-		}
-		h := obs.NewHistory(10*time.Second, time.Hour, obs.NewRuntimeRegistry(), r)
-		now := time.Now()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			now = now.Add(10 * time.Second)
-			h.Tick(now)
-		}
-	}},
+// Spread is one unit's median over a row's runs (the lower middle run
+// for an even count) with the lowest and highest run.
+type Spread struct {
+	Median float64 `json:"median"`
+	Min    float64 `json:"min"`
+	Max    float64 `json:"max"`
 }
 
 func main() {
@@ -200,47 +86,148 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: benchjson -o out.json | -compare baseline.json")
 		os.Exit(2)
 	}
-	if err := run(*out, *compare, *threshold); err != nil {
+	if err := run(*out, *compare, *threshold, measure); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, compare string, threshold float64) error {
-	doc := measure()
-	if out != "" {
-		data, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("benchjson: wrote %d benchmarks to %s\n", len(doc.Benchmarks), out)
-		return nil
-	}
-	base, err := readBaseline(compare)
+// run measures the ladder with measure and writes the document to out,
+// or diffs it against the baseline at compare. Nothing is written
+// unless the measurement succeeds.
+func run(out, compare string, threshold float64, measure func() (Document, error)) error {
+	doc, err := measure()
 	if err != nil {
 		return err
 	}
-	return diff(os.Stdout, base, doc, threshold)
+	if out == "" {
+		base, err := readBaseline(compare)
+		if err != nil {
+			return err
+		}
+		return diff(os.Stdout, base, doc, threshold)
+	}
+	data, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("benchjson: wrote %d benchmarks to %s\n", len(doc.Benchmarks), out)
+	return nil
 }
 
-func measure() Document {
-	doc := Document{Schema: Schema}
-	for _, bm := range benchmarks {
-		r := testing.Benchmark(bm.fn)
-		doc.Benchmarks = append(doc.Benchmarks, Result{
-			Name:        bm.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-		fmt.Fprintf(os.Stderr, "benchjson: %-24s %d iterations, %.0f ns/op\n",
-			bm.name, r.N, float64(r.T.Nanoseconds())/float64(r.N))
+// measure runs the ladder in the working directory, the module root,
+// echoing go test's output to stderr as it streams, and summarizes the
+// result lines.
+func measure() (Document, error) {
+	var out bytes.Buffer
+	cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^"+ladder+"$", "-benchmem", "-count", strconv.Itoa(runs))
+	cmd.Stdout = io.MultiWriter(&out, os.Stderr)
+	cmd.Stderr = os.Stderr
+	return record(&out, cmd.Run())
+}
+
+// record turns one go test run's output into the document. runErr is
+// the run's error: a failed row or a non-zero exit fails the record.
+func record(out io.Reader, runErr error) (Document, error) {
+	rows, err := parse(out)
+	if err != nil {
+		return Document{}, err
 	}
-	return doc
+	if runErr != nil {
+		return Document{}, fmt.Errorf("go test: %w", runErr)
+	}
+	if len(rows) == 0 {
+		return Document{}, fmt.Errorf("go test reported no %s rows", ladder)
+	}
+	return Document{Schema: Schema, Benchmarks: rows}, nil
+}
+
+// row gathers one ladder row's result lines.
+type row struct {
+	runs, iterations int
+	units            map[string][]float64 // each unit's value per run
+}
+
+// parse reads go test -bench output and summarizes each ladder row's
+// result lines (name, b.N, then value–unit pairs), rows in order of
+// first appearance. A row's name drops go test's -GOMAXPROCS suffix.
+// A "--- FAIL" line fails the parse.
+func parse(r io.Reader) ([]Result, error) {
+	var order []string
+	rows := map[string]*row{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if name, ok := strings.CutPrefix(line, "--- FAIL: "); ok {
+			return nil, fmt.Errorf("%s failed", name)
+		}
+		if !strings.HasPrefix(line, ladder+"/") {
+			continue
+		}
+		f := strings.Fields(line)
+		if len(f) < 4 || len(f)%2 != 0 {
+			return nil, fmt.Errorf("malformed result line %q", line)
+		}
+		n, err := strconv.Atoi(f[1])
+		if err != nil {
+			return nil, fmt.Errorf("malformed result line %q: %w", line, err)
+		}
+		name := strings.TrimPrefix(f[0], ladder+"/")
+		if i := strings.LastIndexByte(name, '-'); i >= 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		rw := rows[name]
+		if rw == nil {
+			rw = &row{units: map[string][]float64{}}
+			rows[name] = rw
+			order = append(order, name)
+		}
+		rw.runs++
+		rw.iterations += n
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("malformed result line %q: %w", line, err)
+			}
+			rw.units[f[i+1]] = append(rw.units[f[i+1]], v)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(order))
+	for i, name := range order {
+		var err error
+		if out[i], err = summarize(name, rows[name]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// summarize reduces a row's runs to each unit's spread. Every run must
+// report every unit, ns/op among them.
+func summarize(name string, rw *row) (Result, error) {
+	if _, ok := rw.units["ns/op"]; !ok {
+		return Result{}, fmt.Errorf("%s reports no ns/op", name)
+	}
+	res := Result{Name: name, Runs: rw.runs, Iterations: rw.iterations, Units: map[string]Spread{}}
+	for unit, vals := range rw.units {
+		if len(vals) != rw.runs {
+			return Result{}, fmt.Errorf("%s reports %s in %d of %d runs", name, unit, len(vals), rw.runs)
+		}
+		sort.Float64s(vals)
+		res.Units[unit] = Spread{Median: vals[(len(vals)-1)/2], Min: vals[0], Max: vals[len(vals)-1]}
+	}
+	res.NsPerOp = res.Units["ns/op"].Median
+	res.BytesPerOp = int64(res.Units["B/op"].Median)
+	res.AllocsPerOp = int64(res.Units["allocs/op"].Median)
+	return res, nil
 }
 
 func readBaseline(path string) (Document, error) {
@@ -259,7 +246,7 @@ func readBaseline(path string) (Document, error) {
 }
 
 // diff prints a per-benchmark comparison and errors when any current
-// measurement exceeds threshold × its baseline ns/op. Benchmarks
+// median exceeds threshold × its baseline median ns/op. Benchmarks
 // present on only one side are reported but never fail the check, so
 // adding a benchmark does not break an older baseline.
 func diff(w io.Writer, base, cur Document, threshold float64) error {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,6 +15,104 @@ func doc(names ...string) Document {
 		d.Benchmarks = append(d.Benchmarks, Result{Name: n, Iterations: 1, NsPerOp: float64(100 * (i + 1))})
 	}
 	return d
+}
+
+// passing is captured `go test -bench '^BenchmarkLadder$' -benchmem
+// -count 5` output: two rows at GOMAXPROCS 2 (a -2 suffix, one with
+// an ns/ref metric) and one row from a GOMAXPROCS 1 run (no suffix).
+const passing = `goos: linux
+goarch: amd64
+pkg: tradeoff
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkLadder/trace_gen_20k-2         	      20	   2061643 ns/op	       103.1 ns/ref	  483939 B/op	      11 allocs/op
+BenchmarkLadder/trace_gen_20k-2         	      20	   1580952 ns/op	        79.03 ns/ref	  483933 B/op	      11 allocs/op
+BenchmarkLadder/trace_gen_20k-2         	      20	   1451225 ns/op	        72.55 ns/ref	  483933 B/op	      11 allocs/op
+BenchmarkLadder/trace_gen_20k-2         	      20	   1528147 ns/op	        76.39 ns/ref	  483933 B/op	      11 allocs/op
+BenchmarkLadder/trace_gen_20k-2         	      20	   1677096 ns/op	        83.84 ns/ref	  483933 B/op	      11 allocs/op
+BenchmarkLadder/tradeoff_eval-2         	      20	       106.8 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLadder/tradeoff_eval-2         	      20	       189.5 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLadder/tradeoff_eval-2         	      20	       185.2 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLadder/tradeoff_eval-2         	      20	        89.00 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLadder/tradeoff_eval-2         	      20	        75.90 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLadder/span_ring_record         	    1000	        34.05 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLadder/span_ring_record         	    1000	        88.41 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLadder/span_ring_record         	    1000	        33.93 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLadder/span_ring_record         	    1000	        34.83 ns/op	       0 B/op	       0 allocs/op
+BenchmarkLadder/span_ring_record         	    1000	        33.27 ns/op	       0 B/op	       0 allocs/op
+PASS
+ok  	tradeoff	0.203s
+`
+
+// failing is captured output of a run in which one row called b.Fatal.
+const failing = `goos: linux
+goarch: amd64
+pkg: tradeoff
+BenchmarkLadder/ok_row-2         	     100	        10.90 ns/op	       0 B/op	       0 allocs/op
+--- FAIL: BenchmarkLadder/failing_row
+    bench_test.go:10: boom
+--- FAIL: BenchmarkLadder
+FAIL
+exit status 1
+FAIL	tradeoff	0.015s
+FAIL
+`
+
+func TestParseRecordsMedianAndSpread(t *testing.T) {
+	d, err := record(strings.NewReader(passing), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := Spread{}
+	want := []Result{
+		{Name: "trace_gen_20k", Runs: 5, Iterations: 100, NsPerOp: 1580952, BytesPerOp: 483933, AllocsPerOp: 11,
+			Units: map[string]Spread{
+				"ns/op":     {Median: 1580952, Min: 1451225, Max: 2061643},
+				"ns/ref":    {Median: 79.03, Min: 72.55, Max: 103.1},
+				"B/op":      {Median: 483933, Min: 483933, Max: 483939},
+				"allocs/op": {Median: 11, Min: 11, Max: 11},
+			}},
+		{Name: "tradeoff_eval", Runs: 5, Iterations: 100, NsPerOp: 106.8,
+			Units: map[string]Spread{"ns/op": {Median: 106.8, Min: 75.90, Max: 189.5}, "B/op": zero, "allocs/op": zero}},
+		{Name: "span_ring_record", Runs: 5, Iterations: 5000, NsPerOp: 34.05,
+			Units: map[string]Spread{"ns/op": {Median: 34.05, Min: 33.27, Max: 88.41}, "B/op": zero, "allocs/op": zero}},
+	}
+	if d.Schema != Schema || !reflect.DeepEqual(d.Benchmarks, want) {
+		t.Fatalf("record = %+v\nwant %+v", d.Benchmarks, want)
+	}
+}
+
+func TestRecordRejectsFailures(t *testing.T) {
+	if _, err := record(strings.NewReader(failing), errors.New("exit status 1")); err == nil ||
+		!strings.Contains(err.Error(), "BenchmarkLadder/failing_row") {
+		t.Errorf("failing row: err = %v, want one naming BenchmarkLadder/failing_row", err)
+	}
+	if _, err := record(strings.NewReader(passing), errors.New("exit status 2")); err == nil {
+		t.Error("a non-zero go test exit was recorded")
+	}
+	if _, err := record(strings.NewReader("PASS\n"), nil); err == nil {
+		t.Error("a run with no ladder rows was recorded")
+	}
+	if _, err := record(strings.NewReader("BenchmarkLadder/x-2 \t 10 \t 5 ns/op \t 7\n"), nil); err == nil {
+		t.Error("a malformed result line was recorded")
+	}
+}
+
+func TestRunWritesNothingOnFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bench.json")
+	err := run(path, "", 1.25, func() (Document, error) { return record(strings.NewReader(failing), nil) })
+	if err == nil {
+		t.Fatal("a failing row recorded a baseline")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a failed run left %s behind (stat: %v)", path, err)
+	}
+	if err := run(path, "", 1.25, func() (Document, error) { return record(strings.NewReader(passing), nil) }); err != nil {
+		t.Fatal(err)
+	}
+	d, err := readBaseline(path)
+	if err != nil || len(d.Benchmarks) != 3 {
+		t.Fatalf("written baseline = %+v, %v; want the 3 rows", d, err)
+	}
 }
 
 func TestDiffPassesWithinThreshold(t *testing.T) {
@@ -76,24 +176,22 @@ func TestReadBaseline(t *testing.T) {
 	}
 }
 
-// TestBaselineCommitted pins the repo-root baseline: it must parse,
-// carry the current schema, and cover the registered suite so
-// `benchjson -compare BENCH_sweep.json` diffs every benchmark.
+// TestBaselineCommitted pins that the repo-root baseline parses,
+// carries the current schema, and holds a median-of-runs measurement
+// with its spread in every row. The root package's TestLadderBaselined
+// checks it covers every ladder row.
 func TestBaselineCommitted(t *testing.T) {
 	d, err := readBaseline("../../BENCH_sweep.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	have := map[string]bool{}
-	for _, r := range d.Benchmarks {
-		have[r.Name] = true
-		if r.NsPerOp <= 0 || r.Iterations <= 0 {
-			t.Errorf("baseline %s has empty measurement %+v", r.Name, r)
-		}
+	if len(d.Benchmarks) == 0 {
+		t.Fatal("committed baseline has no rows")
 	}
-	for _, bm := range benchmarks {
-		if !have[bm.name] {
-			t.Errorf("committed baseline lacks %s; run `make bench-record`", bm.name)
+	for _, r := range d.Benchmarks {
+		ns := r.Units["ns/op"]
+		if r.Runs != runs || r.Iterations <= 0 || r.NsPerOp <= 0 || ns.Median != r.NsPerOp || ns.Min > ns.Median || ns.Median > ns.Max {
+			t.Errorf("baseline %s is not a median of %d runs with its spread: %+v", r.Name, runs, r)
 		}
 	}
 }

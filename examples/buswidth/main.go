@@ -42,9 +42,7 @@ func main() {
 
 	// Part 2: the same study on simulated hit ratios. Sweep cache
 	// sizes, find the size equivalent to doubling the bus at 8K.
-	refs := trace.Collect(trace.ZipfReuse(trace.ZipfReuseConfig{
-		Seed: 42, Base: 0x1000_0000, Lines: 65536, Theta: 1.5, WriteFrac: 0.3,
-	}), 600_000)
+	refs := trace.Collect(trace.MustWorkload(trace.Zipf, 42), 600_000)
 	warm, measured := refs[:300_000], refs[300_000:]
 	fmt.Println("Same study on simulated hit ratios (Zipf general workload):")
 	type pt struct {

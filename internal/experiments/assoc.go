@@ -25,9 +25,7 @@ func Associativity(o Options) ([]Artifact, error) {
 		d     = 4.0
 		betaM = 10.0
 	)
-	refs := trace.Collect(trace.ZipfReuse(trace.ZipfReuseConfig{
-		Seed: o.seed(), Base: 0x1000_0000, Lines: 65536, Theta: 1.5, WriteFrac: 0.3,
-	}), o.refsPerProgram())
+	refs := trace.Collect(trace.MustWorkload(trace.Zipf, o.seed()), o.refsPerProgram())
 
 	type config struct {
 		name  string

@@ -140,14 +140,28 @@ func ReducedDelays(s missratio.Surface, cfg Config, beta float64) ([]Point, erro
 // Eq19Optimal picks the line maximizing Eq. (19)'s reduced memory
 // delay. Because Eq. (19) equals the direct delay difference (see
 // core.ReducedDelay), it must always match SmithOptimal — the paper's
-// validation, asserted by TestEq19MatchesSmithEverywhere.
+// validation, asserted by TestEq19MatchesSmithEverywhere. Every
+// reduced delay is a difference from the base line's delay, so when
+// that delay or any reduced delay is not finite, it fails as the other
+// selectors do rather than rank the base line's zero first.
 func Eq19Optimal(s missratio.Surface, cfg Config, beta float64) (int, error) {
 	pts, err := ReducedDelays(s, cfg, beta)
 	if err != nil {
 		return 0, err
 	}
+	nonFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+	l0 := cfg.Lines[0]
+	none := nonFinite(core.MeanDelayPerRef(1-s.MissRatio(cfg.CacheSize, l0), cfg.CAt(beta), beta, float64(l0), float64(cfg.BusWidth)))
+	for _, p := range pts {
+		none = none || nonFinite(p.Reduced)
+	}
 	// Maximizing the reduced delay is minimizing its negation.
-	return argmin(cfg.Lines, beta, func(i int) float64 { return -pts[i].Reduced })
+	return argmin(cfg.Lines, beta, func(i int) float64 {
+		if none {
+			return math.Inf(1)
+		}
+		return -pts[i].Reduced
+	})
 }
 
 // UsefulBusSpeeds returns the bus speeds (among betas) at which line li

@@ -172,20 +172,3 @@ func itoa(v int) string {
 	}
 	return string(b[i:])
 }
-
-// BenchmarkCurveFor measures the closed-form construction cost — the
-// model tier's whole marginal cost per (workload, line size), since
-// everything downstream is shared with the exact tier.
-func BenchmarkCurveFor(b *testing.B) {
-	for _, w := range []string{trace.Ear, trace.Nasa7, trace.Zipf} {
-		b.Run(w, func(b *testing.B) {
-			spec := Spec{Workload: w, Seed: 1994, Refs: 200_000, LineSize: 32}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := CurveFor(spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

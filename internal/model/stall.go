@@ -14,8 +14,8 @@ import (
 // the trace: the hit ratio comes from the analytic curve, and the
 // stall decomposition from first-order timing arithmetic over the
 // memory model's fill schedule. It admits exactly the configurations a
-// replay admits: cfg's cache and memory must pass the Validate calls
-// cache.New and memory.New make, and fail with the same errors. The
+// replay admits: cfg must pass stall.Config.Validate, the checks
+// cache.New and memory.New make, and fails with the same errors. The
 // estimate prices a stall grid's caches (LRU, write-back, no
 // prefetch); cfg.MSHRs does not enter it. cc may be nil (the curve is
 // then built privately).
@@ -63,10 +63,7 @@ import (
 // near-exact. The measured budgets are documented in DESIGN.md §5.8
 // and pinned by TestEstimateStall (epsStallPhi, stallCycleBudget).
 func EstimateStall(ctx context.Context, workload string, seed uint64, refs int, cfg stall.Config, cc *Cache) (stall.Result, error) {
-	if err := cfg.Cache.Validate(); err != nil {
-		return stall.Result{}, err
-	}
-	if err := cfg.Memory.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return stall.Result{}, err
 	}
 	lineBytes, busBytes := cfg.Cache.LineSize, cfg.Memory.BusWidth

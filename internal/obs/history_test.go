@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -262,24 +261,5 @@ func TestRegisterRuntimeSeries(t *testing.T) {
 		if _, ok := snap.Values[name]; !ok {
 			t.Fatalf("series %s missing from snapshot", name)
 		}
-	}
-}
-
-// BenchmarkSnapshotTick is one metrics-history snapshot cycle at
-// production scale: the runtime collector plus 20 summaries.
-func BenchmarkSnapshotTick(b *testing.B) {
-	r := NewRegistry()
-	for i := 0; i < 20; i++ {
-		hist := new(Histogram)
-		hist.Observe(time.Millisecond)
-		r.Add(Family{Name: fmt.Sprintf("bench_hist_%d", i), Kind: KindSummary, Collect: CollectHistogram(hist)})
-	}
-	h := NewHistory(10*time.Second, time.Hour, NewRuntimeRegistry(), r)
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = now.Add(10 * time.Second)
-		h.Tick(now)
 	}
 }

@@ -83,15 +83,13 @@ func TestParseLevel(t *testing.T) {
 
 func TestContextPlumbing(t *testing.T) {
 	ctx := context.Background()
-	if TracerFrom(ctx) != nil || LoggerFrom(ctx) != nil || EngineStatsFrom(ctx) != nil || RequestIDFrom(ctx) != "" {
+	if TracerFrom(ctx) != nil || EngineStatsFrom(ctx) != nil {
 		t.Fatal("empty context should carry nothing")
 	}
-	tr, lg, st := NewTracer(), NewLogger(&bytes.Buffer{}, LevelInfo), NewEngineStats()
+	tr, st := NewTracer(), NewEngineStats()
 	ctx = WithTracer(ctx, tr)
-	ctx = WithLogger(ctx, lg)
 	ctx = WithEngineStats(ctx, st)
-	ctx = WithRequestID(ctx, "req1")
-	if TracerFrom(ctx) != tr || LoggerFrom(ctx) != lg || EngineStatsFrom(ctx) != st || RequestIDFrom(ctx) != "req1" {
+	if TracerFrom(ctx) != tr || EngineStatsFrom(ctx) != st {
 		t.Fatal("context round-trip failed")
 	}
 }

@@ -1,7 +1,8 @@
 // Package obs is the repo's dependency-free observability core:
 // context-propagated tracing spans exportable as Chrome trace_event
 // JSON, lock-cheap log-bucketed latency histograms with quantile
-// estimation, a leveled key=value logger, and request-ID plumbing.
+// estimation, a leveled key=value logger, and request-ID generation
+// and validation.
 // A Registry names each metric family once; Prometheus exposition
 // (WritePrometheus) and the in-process metrics History both iterate
 // it, so no exporter spells a series name of its own.
@@ -15,12 +16,10 @@
 // accounting for free; consumers that don't install a Tracer pay a
 // couple of nil checks per job and nothing else.
 //
-// Everything flows through the context:
+// The engine instruments flow through the context:
 //
 //	ctx = obs.WithTracer(ctx, tracer)     // spans (nil-safe when absent)
 //	ctx = obs.WithEngineStats(ctx, st)    // engine histograms/counters
-//	ctx = obs.WithLogger(ctx, logger)     // structured logging
-//	ctx = obs.WithRequestID(ctx, id)      // request correlation
 package obs
 
 import (
@@ -37,8 +36,6 @@ const (
 	spanKey
 	spanNameKey
 	engineStatsKey
-	loggerKey
-	requestIDKey
 )
 
 // WithTracer returns a context whose engine jobs and explicit
@@ -86,30 +83,6 @@ func WithEngineStats(ctx context.Context, st *EngineStats) context.Context {
 func EngineStatsFrom(ctx context.Context) *EngineStats {
 	st, _ := ctx.Value(engineStatsKey).(*EngineStats)
 	return st
-}
-
-// WithLogger returns a context carrying l.
-func WithLogger(ctx context.Context, l *Logger) context.Context {
-	return context.WithValue(ctx, loggerKey, l)
-}
-
-// LoggerFrom returns the context's Logger. The zero return is nil,
-// which every Logger method accepts as "logging off".
-func LoggerFrom(ctx context.Context) *Logger {
-	l, _ := ctx.Value(loggerKey).(*Logger)
-	return l
-}
-
-// WithRequestID returns a context carrying the request's correlation
-// ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey, id)
-}
-
-// RequestIDFrom returns the context's request ID, or "".
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
 }
 
 // NewRequestID returns a fresh 16-hex-digit request ID.

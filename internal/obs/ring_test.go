@@ -231,13 +231,3 @@ func TestTracerTeesIntoRing(t *testing.T) {
 		t.Fatalf("tracer dropped %d events, want 3", got)
 	}
 }
-
-func BenchmarkSpanRingRecord(b *testing.B) {
-	r := NewSpanRing(8192)
-	rec := SpanRecord{Name: "bench", Start: time.Now(), Dur: time.Millisecond, TID: 1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Record(rec)
-	}
-}

@@ -90,8 +90,7 @@ type Options struct {
 	// simjob.DefaultLimits).
 	StallLimits simjob.Limits
 	// Logger, when non-nil, receives one structured access-log line per
-	// request (method, path, status, duration, request ID) and is
-	// threaded into request contexts for handlers to use.
+	// request (method, path, status, duration, request ID).
 	Logger *obs.Logger
 	// Pprof registers net/http/pprof's profiling endpoints under
 	// /debug/pprof/. Off by default: profiling handlers expose enough
@@ -136,10 +135,9 @@ type Server struct {
 	cache   *engine.Memo[cachedResponse]
 	metrics *metrics
 	stats   *obs.EngineStats
-	reg     *obs.Registry // every /metrics family, named once
-	runner  *simjob.Runner
+	reg     *obs.Registry  // every /metrics family, named once
+	runner  *simjob.Runner // its analytic curves also serve /v1/sweep and /v1/optimize
 	curves  *mrc.CurveCache
-	models  *model.Cache
 
 	// Observability tier 2 (flight recorder, metrics history, SLOs).
 	now       func() time.Time // the clock history ticks, SLO burns and dump windows read
@@ -191,9 +189,6 @@ func New(opts Options) *Server {
 		// Miss-ratio curves survive across /v1/sweep requests: 64 curves
 		// (≈ a few sweeps' worth of line sizes) within 64 MiB.
 		curves: mrc.NewCurveCache(64, 64<<20),
-		// Analytic model curves are tiny (knot tables); the cache mostly
-		// saves the µs-scale rebuild per (workload, line size).
-		models: model.NewCache(64, 16<<20),
 		now:    time.Now,
 	}
 	s.epoch = time.Now()
@@ -249,15 +244,15 @@ const slowMinSamples = 32
 // withObs is the outermost middleware. It assigns every request a
 // correlation ID — honoring a well-formed client X-Request-ID,
 // generating one otherwise — echoes it on the response, threads the
-// engine instruments (and the configured logger) into the request
-// context so the worker pools underneath record queue-wait and
-// evaluation time, opens the request's root span on a per-request
-// tracer that tees every completed span into the flight-recorder
-// ring, applies the tail-based exemplar policy, and emits one
-// wide-event access-log line per request when logging is configured —
-// every dimension known at completion (endpoint, status, duration,
-// response bytes, response-memo outcome, canonical-key hash, request
-// ID) on a single line.
+// engine instruments into the request context so the worker pools
+// underneath record queue-wait and evaluation time, opens the
+// request's root span on a per-request tracer that tees every
+// completed span into the flight-recorder ring, applies the
+// tail-based exemplar policy, and emits one wide-event access-log
+// line per request when logging is configured — every dimension known
+// at completion (endpoint, status, duration, response bytes,
+// response-memo outcome, canonical-key hash, request ID) on a single
+// line.
 func (s *Server) withObs(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
@@ -266,11 +261,7 @@ func (s *Server) withObs(next http.Handler) http.Handler {
 		}
 		w.Header().Set("X-Request-ID", id)
 
-		ctx := obs.WithRequestID(r.Context(), id)
-		ctx = obs.WithEngineStats(ctx, s.stats)
-		if s.opts.Logger != nil {
-			ctx = obs.WithLogger(ctx, s.opts.Logger)
-		}
+		ctx := obs.WithEngineStats(r.Context(), s.stats)
 		ri := &reqInfo{}
 		ctx = withReqInfo(ctx, ri)
 		var tracer *obs.Tracer
@@ -532,9 +523,10 @@ type SweepResponse struct {
 }
 
 // caches bundles the server's shared memoization state for the sweep
-// engines: miss-ratio curves and analytic models.
+// engines: miss-ratio curves and the analytic curves /v1/stall's model
+// tier also prices from.
 func (s *Server) caches() sweep.Caches {
-	return sweep.Caches{Curves: s.curves, Models: s.models}
+	return sweep.Caches{Curves: s.curves, Models: s.runner.Models()}
 }
 
 // errorBound is the committed hit-ratio error of a sweep's designs.

@@ -265,6 +265,31 @@ func TestModeModelEndToEnd(t *testing.T) {
 	}
 }
 
+// TestModelCurvesShared pins that /v1/sweep and /v1/stall price from
+// one analytic-curve cache: after a model-mode sweep, a model-mode
+// stall grid over the same workload, seed, refs and line size builds
+// no curve of its own.
+func TestModelCurvesShared(t *testing.T) {
+	s, ts := newTestServer(t)
+	resp, body := post(t, ts.URL+"/v1/sweep", `{"cache_kb":[8,16],"line_bytes":[32],"bus_bits":[32],
+		"latency_ns":360,"transfer_ns":60,"cpu_ns":30,
+		"hit_source":"mrc:nasa7","sim_refs":2000,"mode":"model"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep status %d: %s", resp.StatusCode, body)
+	}
+	curves := s.runner.Models().Len()
+	if curves == 0 {
+		t.Fatal("the model-mode sweep cached no curve")
+	}
+	resp, body = post(t, ts.URL+"/v1/stall", `{"programs":["nasa7"],"refs":2000,"line_bytes":[32],"beta_m":[4,10],"mode":"model"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stall status %d: %s", resp.StatusCode, body)
+	}
+	if got := s.runner.Models().Len(); got != curves {
+		t.Fatalf("the stall grid built %d curves of its own, want 0", got-curves)
+	}
+}
+
 func TestSweepMemoized(t *testing.T) {
 	s, ts := newTestServer(t)
 	before := s.CacheHits()

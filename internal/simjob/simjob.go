@@ -137,12 +137,18 @@ type Runner struct {
 func NewRunner() *Runner {
 	return &Runner{
 		traces: NewTraceCache(),
+		// Analytic curves are tiny (knot tables); the cache mostly
+		// saves the µs-scale rebuild per (workload, line size).
 		models: model.NewCache(64, 16<<20),
 	}
 }
 
 // Traces exposes the runner's trace cache (for metrics and tests).
 func (r *Runner) Traces() *TraceCache { return r.traces }
+
+// Models exposes the runner's analytic-curve cache, so a server can
+// price its sweeps from the same curves its stall grids use.
+func (r *Runner) Models() *model.Cache { return r.models }
 
 // group is the jobs of one Run that share a trace and a cache
 // configuration, and with them one cache pass; members index the
@@ -216,8 +222,15 @@ func measure(ctx context.Context, g group, jobs []Job, out []stall.Result, opts 
 // one sim_job span) per distinct (trace, cache configuration) whose
 // replays run as one sim_replay item each (see measure), and returns
 // results indexed like jobs — deterministic regardless of worker count
-// or completion order. traceOf supplies each group's trace.
+// or completion order. traceOf supplies each group's trace. Every
+// job's configuration is validated, in job order, before the pool
+// starts, so an invalid point costs no trace and no cache pass.
 func run(ctx context.Context, jobs []Job, opts Options, traceOf traceFunc) ([]stall.Result, error) {
+	for _, job := range jobs {
+		if err := job.Cfg.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	out := make([]stall.Result, len(jobs))
 	ctx = obs.WithSpanName(ctx, "sim_job")
 	_, err := engine.Map(ctx, groupJobs(jobs), opts.Workers, func(ctx context.Context, g group) (struct{}, error) {

@@ -368,6 +368,29 @@ func TestRunBadJob(t *testing.T) {
 	}
 }
 
+// TestRunGridRejectsBeforeWork checks an exact-mode grid with a point
+// outside the cache's or the memory model's domain fails with that
+// package's error before it generates a trace or runs a cache pass.
+func TestRunGridRejectsBeforeWork(t *testing.T) {
+	for _, c := range []struct {
+		grid Grid
+		want string
+	}{
+		{Grid{CacheKB: []int{24}}, "cache: size 24576 is not a positive power of two"},
+		{Grid{LineBytes: []int{24}}, "cache: line size 24 is not a positive power of two"},
+		{Grid{BetaM: []int64{0}}, "memory: βm = 0, want >= 1"},
+	} {
+		c.grid.Programs, c.grid.Refs = []string{"ear", "nasa7"}, 5_000
+		r := NewRunner()
+		if _, err := r.RunGrid(context.Background(), c.grid, 2); err == nil || err.Error() != c.want {
+			t.Errorf("grid %+v: err = %v, want %q", c.grid, err, c.want)
+		}
+		if n := r.Traces().Generated(); n != 0 {
+			t.Errorf("grid failing with %q generated %d traces first, want 0", c.want, n)
+		}
+	}
+}
+
 // TestRunRefsMatchesDirect checks the caller-supplied-trace path gives
 // exactly what stall.Run gives, in configuration order, from one cache
 // pass per distinct cache.

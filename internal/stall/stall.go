@@ -114,6 +114,16 @@ type Config struct {
 	MSHRs int
 }
 
+// Validate reports the error cache.New or memory.New would return for
+// cfg's cache or memory, so a caller can reject a design point before
+// it generates a trace or runs a cache pass.
+func (c Config) Validate() error {
+	if err := c.Cache.Validate(); err != nil {
+		return err
+	}
+	return c.Memory.Validate()
+}
+
 // Result reports the measured timing decomposition of a replay.
 //
 // Two kinds of stall counter appear below. Clock-advancing counters

@@ -293,22 +293,3 @@ func TestOptimizeCSV(t *testing.T) {
 		t.Fatalf("%d rows for %d designs", len(lines)-1, len(res.Designs))
 	}
 }
-
-// BenchmarkOptimize measures the full cost-constrained search on the
-// exact-MRC surface: 40 design points across three hierarchy depths,
-// curves built once per line size.
-func BenchmarkOptimize(b *testing.B) {
-	cfg := optCfg()
-	cfg.HitSource = "mrc:ear"
-	cfg.SimRefs = 20_000
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := Optimize(context.Background(), cfg, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Total != 40 {
-			b.Fatalf("total = %d, want 40", res.Total)
-		}
-	}
-}

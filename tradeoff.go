@@ -183,7 +183,7 @@ type Profile = cache.AppProfile
 // (seeded deterministically) through the cache and returns the
 // application profile.
 func MeasureWorkload(w Workload, seed uint64, n int, cs CacheSpec) (Profile, error) {
-	src, err := workloadSource(w, seed)
+	src, err := trace.NewWorkload(string(w), seed)
 	if err != nil {
 		return Profile{}, err
 	}
@@ -205,7 +205,7 @@ type PhiResult struct {
 // discipline for a workload on the cache/memory design point, using
 // the cycle-level replay engine (Eq. 8 semantics).
 func SimulatePhi(w Workload, seed uint64, n int, cs CacheSpec, feature StallFeature, betaM int64, busWidth int) (PhiResult, error) {
-	src, err := workloadSource(w, seed)
+	src, err := trace.NewWorkload(string(w), seed)
 	if err != nil {
 		return PhiResult{}, err
 	}
@@ -218,15 +218,6 @@ func SimulatePhi(w Workload, seed uint64, n int, cs CacheSpec, feature StallFeat
 		return PhiResult{}, err
 	}
 	return PhiResult{Phi: res.Phi, Fraction: res.PhiFraction, Misses: res.Misses}, nil
-}
-
-func workloadSource(w Workload, seed uint64) (trace.Source, error) {
-	if w == ZipfGeneral {
-		return trace.ZipfReuse(trace.ZipfReuseConfig{
-			Seed: seed, Base: 0x1000_0000, Lines: 65536, Theta: 1.5, WriteFrac: 0.3,
-		}), nil
-	}
-	return trace.NewProgram(string(w), seed)
 }
 
 // L2Worth prices a second-level cache in L1 hit ratio (see
