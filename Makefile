@@ -14,10 +14,10 @@ vet:
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 
 # Full static analysis: go vet + gofmt (the vet target) plus the
-# repo's own nine-analyzer tradeoffvet suite (lint-fast: parameter
+# repo's own eight-analyzer tradeoffvet suite (lint-fast: parameter
 # domains, float discipline, context propagation, error handling,
-# metric hygiene, span lifecycle, locking discipline, deterministic
-# output order, hot-path allocation budgets).
+# span lifecycle, locking discipline, deterministic output order,
+# hot-path allocation budgets).
 lint: vet lint-fast
 
 # Just the tradeoffvet suite — skips go vet and gofmt for a fast
@@ -62,17 +62,18 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkLadder$$' -benchtime 1x .
 
-# Race the 64-point sweep grid under re-simulation ("sim:ear", one
-# generated trace replayed through one cache per (cache size, line
-# size) geometry, 32 here) against the miss-ratio-curve sources
-# ("mrc:ear" and "mrc~:ear", one pass per line size): the internal/mrc
-# headline numbers.
+# Race the 64-point sweep grid under simulation ("sim:ear": one
+# generated trace, one exact pass per line size simulating all eight
+# cache sizes at once) against the miss-ratio-curve sources ("mrc:ear"
+# and "mrc~:ear", one profiling pass per line size); every source pays
+# four passes here, so the rows compare the kernels.
 bench-mrc:
 	$(GO) test -run '^$$' -bench 'BenchmarkLadder/sweep_(sim|mrc)' -benchmem .
 
-# Re-measure every ladder row (the median of five runs, with their
-# spread) and rewrite the committed baseline; CI diffs against it with
-# `benchjson -compare` (non-blocking).
+# Re-measure every ladder row (the median of five interleaved passes
+# over the whole ladder, with their spread) and rewrite the committed
+# baseline; CI diffs against it with `benchjson -compare`
+# (non-blocking).
 bench-record:
 	$(GO) run ./cmd/benchjson -o BENCH_sweep.json
 

@@ -79,6 +79,21 @@ var ladder = []rung{
 			return err
 		}
 	}},
+	// The work of a sim_pass span: the eight cache sizes of the 64-point
+	// grid at one line size, 2-way, simulated in one pass.
+	{"sim_pass_20k", 20_000, func(*testing.B) func() error {
+		refs := trace.Collect(trace.MustWorkload(trace.Ear, 1), 20_000)
+		sizes := []int{1 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10}
+		return func() error {
+			rs, err := cache.HitRatios(context.Background(), refs, 32, 2, sizes)
+			for _, r := range rs {
+				if err == nil {
+					err = r.Err
+				}
+			}
+			return err
+		}
+	}},
 	stallReplay("stall_replay_bnl1_100k", trace.Swm256, stall.Config{
 		Cache:   cache.Config{Size: 8 << 10, LineSize: 32, Assoc: 2},
 		Memory:  memory.Config{BetaM: 10, BusWidth: 4},
@@ -103,14 +118,14 @@ var ladder = []rung{
 		}
 	}},
 
-	// Sweeps over the 64-point grid under each hit source. Re-simulation
-	// replays one trace through a cache per (cache size, line size)
-	// geometry (32 here, since bus width leaves the hit ratio
-	// unchanged), the curve sources pay one pass per line size (4
-	// here), and the analytic source pays no trace pass at all. Each
-	// op runs a fresh sweep.Run, whose curve cache is its own, so the
-	// profiling cost is inside the measurement. The serial row times
-	// the same grid on one worker: the pool's speedup is the ratio.
+	// Sweeps over the 64-point grid under each hit source. Simulation
+	// and the curve sources each pay one pass over the trace per line
+	// size (4 here): a sim_pass simulating all eight cache sizes, or an
+	// mrc_pass profiling the curve. The analytic source pays no trace
+	// pass at all. Each op runs a fresh sweep.Run, whose curve cache is
+	// its own, so the profiling cost is inside the measurement. The
+	// serial row times the same grid on one worker: the pool's speedup
+	// is the ratio.
 	sweep64("sweep_sim_64pt", "sim:ear", 0),
 	sweep64("sweep_sim_64pt_serial", "sim:ear", 1),
 	sweep64("sweep_mrc_64pt", "mrc:ear", 0),

@@ -4,22 +4,25 @@
 // with the code and CI diffs against it. benchjson keeps no benchmark
 // of its own. Run from the module root, it runs
 //
-//	go test -run '^$' -bench '^BenchmarkLadder$' -benchmem -count 5
+//	go test -run '^$' -bench '^BenchmarkLadder$' -benchmem -count 1
 //
-// and reads go test's standard result lines, so `go test -bench` and
-// benchjson time the same code.
+// five times and reads go test's standard result lines, so `go test
+// -bench` and benchjson time the same code. Each pass runs every row
+// once, so host drift over the minutes a recording takes spreads over
+// every row's runs instead of moving the rows it happens to overlap.
 //
 //	benchjson -o BENCH_sweep.json        # record a baseline (make bench-record)
 //	benchjson -compare BENCH_sweep.json  # re-measure and diff
 //
-// The schema ("tradeoff-bench/v1") is additive: per ladder row, the
-// median ns/op, B/op and allocs/op of its five runs, and the median,
-// lowest and highest run of those and of each unit the row reports
-// with b.ReportMetric (ns/ref for the rows that walk a trace). A
-// failing row or go test run exits non-zero and writes
-// nothing. -compare exits non-zero when a row's median ns/op exceeds
-// -threshold (default 1.25×) times the baseline's; CI runs it
-// non-blocking, so a slow runner flags but cannot block a merge.
+// The schema ("tradeoff-bench/v1") is additive: the Go version and
+// GOMAXPROCS the ladder ran at, and per ladder row, the median ns/op,
+// B/op and allocs/op of its five runs, and the median, lowest and
+// highest run of those and of each unit the row reports with
+// b.ReportMetric (ns/ref for the rows that walk a trace). A failing
+// row or go test run exits non-zero and writes nothing. -compare exits
+// non-zero when a row's median ns/op exceeds -threshold (default
+// 1.25×) times the baseline's; CI runs it non-blocking, so a slow
+// runner flags but cannot block a merge.
 package main
 
 import (
@@ -31,6 +34,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,14 +48,16 @@ const (
 	// ladder is the benchmark benchjson records; each of its
 	// sub-benchmarks is one row of the document.
 	ladder = "BenchmarkLadder"
-	// runs is go test's -count: each row's median and spread are
-	// taken over this many runs.
-	runs = 5
+	// passes is how many times the ladder runs, once per row each
+	// time: each row's median and spread are taken over the passes.
+	passes = 5
 )
 
 // Document is the file benchjson writes and compares.
 type Document struct {
 	Schema     string   `json:"schema"`
+	GoVersion  string   `json:"go_version,omitempty"` // the toolchain that built and ran the ladder
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -118,19 +124,32 @@ func run(out, compare string, threshold float64, measure func() (Document, error
 	return nil
 }
 
-// measure runs the ladder in the working directory, the module root,
-// echoing go test's output to stderr as it streams, and summarizes the
-// result lines.
+// measure runs the ladder passes times in the working directory, the
+// module root, echoing go test's output to stderr as it streams, and
+// summarizes the result lines of every pass. The child go test
+// inherits this process's environment, so it runs at this GOMAXPROCS
+// and, built by the same go command, this Go version.
 func measure() (Document, error) {
 	var out bytes.Buffer
-	cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^"+ladder+"$", "-benchmem", "-count", strconv.Itoa(runs))
-	cmd.Stdout = io.MultiWriter(&out, os.Stderr)
-	cmd.Stderr = os.Stderr
-	return record(&out, cmd.Run())
+	var err error
+	for i := 0; i < passes && err == nil; i++ {
+		cmd := exec.Command("go", "test", "-run", "^$", "-bench", "^"+ladder+"$", "-benchmem", "-count", "1")
+		cmd.Stdout = io.MultiWriter(&out, os.Stderr)
+		cmd.Stderr = os.Stderr
+		err = cmd.Run()
+	}
+	doc, err := record(&out, err)
+	if err != nil {
+		return Document{}, err
+	}
+	doc.GoVersion, doc.GOMAXPROCS = runtime.Version(), runtime.GOMAXPROCS(0)
+	return doc, nil
 }
 
-// record turns one go test run's output into the document. runErr is
-// the run's error: a failed row or a non-zero exit fails the record.
+// record turns the output of one or more go test runs into the
+// document; a row's runs from every run merge into one row. runErr is
+// the runs' first error: a failed row or a non-zero exit fails the
+// record.
 func record(out io.Reader, runErr error) (Document, error) {
 	rows, err := parse(out)
 	if err != nil {
@@ -153,8 +172,9 @@ type row struct {
 
 // parse reads go test -bench output and summarizes each ladder row's
 // result lines (name, b.N, then value–unit pairs), rows in order of
-// first appearance. A row's name drops go test's -GOMAXPROCS suffix.
-// A "--- FAIL" line fails the parse.
+// first appearance and runs merged by name across go test runs. A
+// row's name drops go test's -GOMAXPROCS suffix. A "--- FAIL" line
+// fails the parse.
 func parse(r io.Reader) ([]Result, error) {
 	var order []string
 	rows := map[string]*row{}

@@ -57,13 +57,10 @@ FAIL	tradeoff	0.015s
 FAIL
 `
 
-func TestParseRecordsMedianAndSpread(t *testing.T) {
-	d, err := record(strings.NewReader(passing), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+// passingRows is what record makes of passing.
+func passingRows() []Result {
 	zero := Spread{}
-	want := []Result{
+	return []Result{
 		{Name: "trace_gen_20k", Runs: 5, Iterations: 100, NsPerOp: 1580952, BytesPerOp: 483933, AllocsPerOp: 11,
 			Units: map[string]Spread{
 				"ns/op":     {Median: 1580952, Min: 1451225, Max: 2061643},
@@ -76,8 +73,39 @@ func TestParseRecordsMedianAndSpread(t *testing.T) {
 		{Name: "span_ring_record", Runs: 5, Iterations: 5000, NsPerOp: 34.05,
 			Units: map[string]Spread{"ns/op": {Median: 34.05, Min: 33.27, Max: 88.41}, "B/op": zero, "allocs/op": zero}},
 	}
-	if d.Schema != Schema || !reflect.DeepEqual(d.Benchmarks, want) {
+}
+
+func TestParseRecordsMedianAndSpread(t *testing.T) {
+	d, err := record(strings.NewReader(passing), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := passingRows(); d.Schema != Schema || !reflect.DeepEqual(d.Benchmarks, want) {
 		t.Fatalf("record = %+v\nwant %+v", d.Benchmarks, want)
+	}
+}
+
+// TestRecordMergesPasses feeds record the output benchjson collects:
+// five go test runs at -count 1, each with its own header and trailer
+// and one result line per row. passing's five runs of each row,
+// dealt one to a pass, must merge into the same rows.
+func TestRecordMergesPasses(t *testing.T) {
+	lines := strings.Split(passing, "\n")
+	header, results := lines[:4], lines[4:19]
+	var out strings.Builder
+	for pass := 0; pass < passes; pass++ {
+		out.WriteString(strings.Join(header, "\n") + "\n")
+		for row := 0; row < 3; row++ {
+			out.WriteString(results[row*passes+pass] + "\n")
+		}
+		out.WriteString("PASS\nok  \ttradeoff\t0.041s\n")
+	}
+	d, err := record(strings.NewReader(out.String()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := passingRows(); !reflect.DeepEqual(d.Benchmarks, want) {
+		t.Fatalf("record over %d passes = %+v\nwant %+v", passes, d.Benchmarks, want)
 	}
 }
 
@@ -177,8 +205,8 @@ func TestReadBaseline(t *testing.T) {
 }
 
 // TestBaselineCommitted pins that the repo-root baseline parses,
-// carries the current schema, and holds a median-of-runs measurement
-// with its spread in every row. The root package's TestLadderBaselined
+// carries the current schema and the toolchain it ran on, and holds a
+// median-of-runs measurement with its spread in every row. The root package's TestLadderBaselined
 // checks it covers every ladder row.
 func TestBaselineCommitted(t *testing.T) {
 	d, err := readBaseline("../../BENCH_sweep.json")
@@ -188,10 +216,13 @@ func TestBaselineCommitted(t *testing.T) {
 	if len(d.Benchmarks) == 0 {
 		t.Fatal("committed baseline has no rows")
 	}
+	if !strings.HasPrefix(d.GoVersion, "go") || d.GOMAXPROCS < 1 {
+		t.Errorf("baseline records Go version %q and GOMAXPROCS %d, want both", d.GoVersion, d.GOMAXPROCS)
+	}
 	for _, r := range d.Benchmarks {
 		ns := r.Units["ns/op"]
-		if r.Runs != runs || r.Iterations <= 0 || r.NsPerOp <= 0 || ns.Median != r.NsPerOp || ns.Min > ns.Median || ns.Median > ns.Max {
-			t.Errorf("baseline %s is not a median of %d runs with its spread: %+v", r.Name, runs, r)
+		if r.Runs != passes || r.Iterations <= 0 || r.NsPerOp <= 0 || ns.Median != r.NsPerOp || ns.Min > ns.Median || ns.Median > ns.Max {
+			t.Errorf("baseline %s is not a median of %d runs with its spread: %+v", r.Name, passes, r)
 		}
 	}
 }

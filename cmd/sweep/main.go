@@ -26,7 +26,8 @@
 // "sweep_point" span per evaluated (cache size, line size) geometry —
 // bus width does not change a hit ratio, so each geometry is evaluated
 // once and priced at every bus width — laned by worker slot, plus one
-// "mrc_pass" span per trace pass under the mrc sources) — load it at
+// "sim_pass" or "mrc_pass" span per trace pass, one per line size,
+// under the sim and mrc sources) — load it at
 // chrome://tracing or https://ui.perfetto.dev.
 package main
 

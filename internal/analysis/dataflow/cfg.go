@@ -81,10 +81,6 @@ func New(body *ast.BlockStmt) *Graph {
 // composite statement's guard — or nil if n is not in the graph.
 func (g *Graph) BlockOf(n ast.Node) *Block { return g.nodeBlock[n] }
 
-// GuardBlock returns the block that evaluates a composite statement's
-// guard (an if's condition, a range's operand), or nil.
-func (g *Graph) GuardBlock(s ast.Stmt) *Block { return g.guard[s] }
-
 // FollowBlock returns the block where execution resumes after a
 // composite statement completes (the loop exit, the if join), or nil.
 func (g *Graph) FollowBlock(s ast.Stmt) *Block { return g.follow[s] }

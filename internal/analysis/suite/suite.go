@@ -13,13 +13,12 @@ import (
 	"tradeoff/internal/analysis/hotalloc"
 	"tradeoff/internal/analysis/lint"
 	"tradeoff/internal/analysis/lockguard"
-	"tradeoff/internal/analysis/metricreg"
 	"tradeoff/internal/analysis/paramdomain"
 	"tradeoff/internal/analysis/spanleak"
 )
 
 // Analyzers is the full tradeoffvet suite, in the order findings are
-// attributed when several fire on one line. The first five are
+// attributed when several fire on one line. The first four are
 // AST-local; the last four are flow-sensitive, built on the CFG and
 // solvers in internal/analysis/dataflow.
 var Analyzers = []*lint.Analyzer{
@@ -27,7 +26,6 @@ var Analyzers = []*lint.Analyzer{
 	floatcmp.Analyzer,
 	ctxflow.Analyzer,
 	errdrop.Analyzer,
-	metricreg.Analyzer,
 	spanleak.Analyzer,
 	lockguard.Analyzer,
 	detorder.Analyzer,

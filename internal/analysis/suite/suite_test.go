@@ -16,8 +16,8 @@ var nameRE = regexp.MustCompile(`^[a-z][a-z0-9]*$`)
 // analyzer has a lowercase unique name, a doc string whose first line
 // summarizes the check, and a Run function.
 func TestRegistration(t *testing.T) {
-	if len(suite.Analyzers) != 9 {
-		t.Fatalf("suite has %d analyzers, want 9 (paramdomain, floatcmp, ctxflow, errdrop, metricreg, spanleak, lockguard, detorder, hotalloc)", len(suite.Analyzers))
+	if len(suite.Analyzers) != 8 {
+		t.Fatalf("suite has %d analyzers, want 8 (paramdomain, floatcmp, ctxflow, errdrop, spanleak, lockguard, detorder, hotalloc)", len(suite.Analyzers))
 	}
 	seen := map[string]bool{}
 	for _, a := range suite.Analyzers {

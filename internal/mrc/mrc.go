@@ -1,8 +1,8 @@
 // Package mrc builds miss-ratio curves from a single trace pass.
 //
-// A design-space sweep that prices hit ratios by simulation replays
-// the whole trace once per (cache size, line size) point, so a grid
-// costs O(points × refs). This package replaces that re-simulation
+// Simulating a design-space grid cache by cache replays the whole
+// trace once per (cache size, line size) point, so a grid costs
+// O(points × refs). This package replaces that re-simulation
 // with reuse-distance profiling: Mattson's stack algorithm (Mattson,
 // Gecsei, Slutz & Traiger, 1970) observes that under LRU a reference
 // hits in every cache of at least d+1 lines, where d is the number of

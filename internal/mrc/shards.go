@@ -88,7 +88,6 @@ type SampledProfiler struct {
 	hist      map[uint64]float64 // scaled distance → weight
 	cold      float64
 	refs      uint64
-	sampled   uint64
 }
 
 // NewSampledProfiler returns a SHARDS profiler at the given block
@@ -141,7 +140,6 @@ func (p *SampledProfiler) Access(addr uint64) {
 	if h >= p.threshold {
 		return
 	}
-	p.sampled++
 	w := float64(shardsModulus) / float64(p.threshold)
 	d := p.tree.access(block)
 	if d < 0 {
@@ -181,10 +179,6 @@ func (p *SampledProfiler) Curve() *Curve {
 	}
 	return c
 }
-
-// SampledRefs returns how many references fell under the spatial-hash
-// threshold — the work the profiler actually did.
-func (p *SampledProfiler) SampledRefs() uint64 { return p.sampled }
 
 // ProfileSampledRefs builds the SHARDS curve of a materialized trace.
 func ProfileSampledRefs(refs []trace.Ref, lineSize int, cfg SamplerConfig) (*Curve, error) {

@@ -85,6 +85,46 @@ func TestStallAdmissionNeverEnumerates(t *testing.T) {
 	}
 }
 
+// simGeometryProbe is a "sim:" sweep whose one geometry the simulator
+// rejects (a 1 KiB cache of 1024-byte lines holds one line, fewer than
+// the default two ways) at the largest trace the default limits admit.
+const simGeometryProbe = `{"cache_kb":[1],"line_bytes":[1024],"bus_bits":[32],"latency_ns":360,"transfer_ns":60,"cpu_ns":30,"hit_source":"sim:ear","sim_refs":5000000}`
+
+// TestSimGeometryRejectedBeforeTrace pins that a "sim:" sweep whose
+// geometry the simulator rejects answers 422 before its trace is
+// generated: in under 10 ms, with under 1 MB allocated and no
+// trace_gen span, where generating the 5M-reference trace first took
+// most of a second.
+func TestSimGeometryRejectedBeforeTrace(t *testing.T) {
+	s := New(Options{})
+	h := s.Handler()
+	best := time.Duration(1<<63 - 1)
+	for try := 0; try < 3; try++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(simGeometryProbe)))
+		took := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "associativity 2 exceeds 1 lines") {
+			t.Fatalf("status %d (%s), want 422 naming the geometry", rec.Code, rec.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%d bytes allocated before the 422, want under 1 MB", alloc)
+		}
+		best = min(best, took)
+	}
+	if best >= 10*time.Millisecond {
+		t.Fatalf("422 after %v at best, want under 10 ms", best)
+	}
+	for _, rec := range s.ring.Snapshot(time.Time{}) {
+		if rec.Name == "trace_gen" {
+			t.Fatal("the rejected sweep generated its trace")
+		}
+	}
+}
+
 // TestSweepAdmissionSaturates pins that point counts saturate instead
 // of wrapping: payloads whose plain int64 axis product wraps negative
 // or to 0 used to pass the default limits on /v1/sweep and

@@ -107,6 +107,7 @@ func FuzzEndpoints(f *testing.F) {
 	fuzzSeed(f, "/v1/stall", stallProbe(8))
 	fuzzSeed(f, "/v1/sweep", wrapProbe())
 	fuzzSeed(f, "/v1/optimize", wrapProbe())
+	fuzzSeed(f, "/v1/sweep", simGeometryProbe)
 
 	h := New(Options{
 		Workers:     2,

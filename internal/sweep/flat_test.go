@@ -13,41 +13,46 @@ import (
 )
 
 // TestSimSweepMatchesPerPointSimulation is the oracle for flat "sim:"
-// sweeps, which evaluate each (size, line) geometry once over one
-// shared trace. The reference is the per-point evaluation this
-// replaced: a fresh workload generator and a fresh cache for every
-// (size, line, bus) design. Every design's hit ratio must equal it
-// exactly, for any workload, seed, bus width and pool size.
+// sweeps, which simulate every cache size of a line size in one pass
+// over one shared trace. The reference is the per-point evaluation
+// this replaced: a fresh workload generator and a fresh cache for
+// every (size, line, bus) design. Every design's hit ratio must equal
+// it exactly, for any workload, seed, associativity, bus width, pool
+// size and cache_kb order, duplicates included.
 func TestSimSweepMatchesPerPointSimulation(t *testing.T) {
 	for _, source := range []string{"sim:ear", "sim:zipf"} {
 		for _, seed := range []uint64{7, 1994} {
-			cfg := Config{
-				CacheKB: []int{1, 4, 16}, LineBytes: []int{16, 32, 64}, BusBits: []int{32, 64, 128},
-				LatencyNS: 360, TransferNS: 60, CPUNS: 30,
-				HitSource: source, SimRefs: 5_000, Seed: seed,
-			}
-			for _, workers := range []int{1, 8} {
-				ds, err := Run(context.Background(), cfg, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// 3 sizes × (3 lines × 3 buses − the 16B line on the
-				// 128-bit bus, shorter than two transfers).
-				if len(ds) != 24 {
-					t.Fatalf("%s seed %d: %d designs, want 24", source, seed, len(ds))
-				}
-				for _, d := range ds {
-					src, err := trace.NewWorkload(strings.TrimPrefix(source, "sim:"), seed)
-					if err != nil {
-						t.Fatal(err)
+			for _, assoc := range []int{1, 2, 4} {
+				for _, kb := range [][]int{{1, 4, 16}, {16, 1, 4, 1}} {
+					cfg := Config{
+						CacheKB: kb, LineBytes: []int{16, 32, 64}, BusBits: []int{32, 64, 128},
+						LatencyNS: 360, TransferNS: 60, CPUNS: 30,
+						HitSource: source, SimRefs: 5_000, Seed: seed, Assoc: assoc,
 					}
-					c, err := cache.New(cache.Config{Size: d.CacheKB << 10, LineSize: d.LineBytes, Assoc: 2})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := cache.MeasureSource(c, src, cfg.SimRefs).HitRatio; d.HitRatio != want {
-						t.Errorf("%s seed %d workers %d: %dKB/%dB/%d-bit hit ratio %v, per-point simulation %v",
-							source, seed, workers, d.CacheKB, d.LineBytes, d.BusBits, d.HitRatio, want)
+					for _, workers := range []int{1, 8} {
+						ds, err := Run(context.Background(), cfg, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						// Each size × (3 lines × 3 buses − the 16B line on
+						// the 128-bit bus, shorter than two transfers).
+						if want := 8 * len(kb); len(ds) != want {
+							t.Fatalf("%s seed %d: %d designs, want %d", source, seed, len(ds), want)
+						}
+						for _, d := range ds {
+							src, err := trace.NewWorkload(strings.TrimPrefix(source, "sim:"), seed)
+							if err != nil {
+								t.Fatal(err)
+							}
+							c, err := cache.New(cache.Config{Size: d.CacheKB << 10, LineSize: d.LineBytes, Assoc: assoc})
+							if err != nil {
+								t.Fatal(err)
+							}
+							if want := cache.MeasureSource(c, src, cfg.SimRefs).HitRatio; d.HitRatio != want {
+								t.Errorf("%s seed %d assoc %d cache_kb %v workers %d: %dKB/%dB/%d-bit hit ratio %v, per-point simulation %v",
+									source, seed, assoc, kb, workers, d.CacheKB, d.LineBytes, d.BusBits, d.HitRatio, want)
+							}
+						}
 					}
 				}
 			}
@@ -58,8 +63,9 @@ func TestSimSweepMatchesPerPointSimulation(t *testing.T) {
 // TestFlatSweepSpansPerGeometry pins the flat evaluation's shape in a
 // trace export: exactly one sweep_point span per distinct (cache_kb,
 // line) geometry that has a design, carrying both as args, however
-// many bus widths price it, and exactly one trace_gen span for the
-// request's one "sim:" trace.
+// many bus widths price it, exactly one trace_gen span for the
+// request's one "sim:" trace, and exactly one sim_pass span per line
+// size that has a design, nested in a sweep_point of that line.
 func TestFlatSweepSpansPerGeometry(t *testing.T) {
 	tracer := obs.NewTracer()
 	ctx := obs.WithTracer(context.Background(), tracer)
@@ -88,6 +94,9 @@ func TestFlatSweepSpansPerGeometry(t *testing.T) {
 	}
 	var events []struct {
 		Name string         `json:"name"`
+		TS   float64        `json:"ts"`
+		Dur  float64        `json:"dur"`
+		TID  int            `json:"tid"`
 		Args map[string]any `json:"args"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
@@ -95,7 +104,23 @@ func TestFlatSweepSpansPerGeometry(t *testing.T) {
 	}
 	seen := map[[2]int]int{}
 	traceGens := 0
+	passes := map[int]int{}
 	for _, ev := range events {
+		if ev.Name == "sim_pass" {
+			line := int(ev.Args["line_size"].(float64))
+			passes[line]++
+			if ev.Args["workload"] != "zipf" || ev.Args["refs"] != float64(cfg.SimRefs) || ev.Args["sizes"] != float64(len(cfg.CacheKB)) {
+				t.Errorf("sim_pass args %v, want workload zipf, refs %d and sizes %d", ev.Args, cfg.SimRefs, len(cfg.CacheKB))
+			}
+			parent := false
+			for _, p := range events {
+				parent = parent || p.Name == "sweep_point" && p.TID == ev.TID && p.Args["line"] == float64(line) &&
+					p.TS <= ev.TS && ev.TS+ev.Dur <= p.TS+p.Dur
+			}
+			if !parent {
+				t.Errorf("sim_pass for line %d lies in no sweep_point of that line", line)
+			}
+		}
 		if ev.Name == "trace_gen" {
 			traceGens++
 			if ev.Args["workload"] != "zipf" || ev.Args["refs"] != float64(cfg.SimRefs) {
@@ -114,6 +139,9 @@ func TestFlatSweepSpansPerGeometry(t *testing.T) {
 	}
 	if traceGens != 1 {
 		t.Errorf("%d trace_gen spans, want 1 for the whole sweep", traceGens)
+	}
+	if len(passes) != 2 || passes[16] != 1 || passes[64] != 1 {
+		t.Errorf("sim_pass spans per line size %v, want exactly one for each of 16 and 64", passes)
 	}
 	if len(seen) != len(want) {
 		t.Fatalf("sweep_point spans cover %d geometries %v, want %d %v", len(seen), seen, len(want), want)

@@ -163,7 +163,10 @@ func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches
 	if len(points) == 0 {
 		return OptimizeResult{}, fmt.Errorf("sweep: empty optimize space (every line < 2D, or no monotone hierarchy?)")
 	}
-	surf := resolveSurface(ctx, cfg.Config, caches)
+	surf, err := resolveSurface(ctx, cfg.Config, caches, points)
+	if err != nil {
+		return OptimizeResult{}, err
+	}
 
 	ctx = obs.WithSpanName(ctx, "optimize_point")
 	flat, err := runFlat(ctx, flatCfg, workers, surf, points)

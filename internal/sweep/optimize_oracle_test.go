@@ -25,7 +25,12 @@ func oracleOptimize(ctx context.Context, cfg OptimizeConfig, workers int) (Optim
 	if err := cfg.Validate(); err != nil {
 		return OptimizeResult{}, err
 	}
-	surf := resolveSurface(ctx, cfg.Config, Caches{})
+	flatCfg := cfg.Config
+	flatCfg.Levels = nil
+	surf, err := resolveSurface(ctx, cfg.Config, Caches{}, enumerate(flatCfg))
+	if err != nil {
+		return OptimizeResult{}, err
+	}
 	points, err := oraclePoints(ctx, cfg, surf.hit)
 	if err != nil {
 		return OptimizeResult{}, err

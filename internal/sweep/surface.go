@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"tradeoff/internal/cache"
@@ -27,7 +28,7 @@ func ErrorBound(source string) float64 {
 // surface is a sweep's hit source resolved once, after Mode: the
 // effective source name stamped on every Design, the (size, line)
 // hit-ratio function, and, for "sim:" only, the request's trace, which
-// flat geometries and hierarchy points alike replay read-only.
+// flat geometries and hierarchy points alike read.
 type surface struct {
 	name string
 	hit  hitRatioFunc
@@ -42,13 +43,21 @@ type surface struct {
 // (workload, line size) through caches (a nil field gets a private
 // cache scoped to this run). Both trace-driven tiers read the
 // request's one trace, generated at most once in a trace_gen span:
-// "sim:" generates it here, before any pool worker starts, and replays
-// it through a fresh cache per call; "mrc:" and "mrc~:" generate it
-// lazily, inside the memo flight of the first curve that misses the
-// cache, and profile every missing line size from it. Either way the
-// hit function is safe for concurrent use by the pool. It assumes
-// Validate has passed, so every workload name is known.
-func resolveSurface(ctx context.Context, cfg Config, caches Caches) surface {
+// "sim:" generates it here, before any pool worker starts, and
+// simulates every size of a line in one cache.HitRatios pass, run
+// once per line size by the first geometry that asks for it; "mrc:"
+// and "mrc~:" generate it lazily, inside the memo flight of the first
+// curve that misses the cache, and profile every missing line size
+// from it. Either way the hit function is safe for concurrent use by
+// the pool. It assumes Validate has passed, so every workload name is
+// known.
+//
+// flat holds the points of a flat sweep or search, nil for a
+// hierarchy sweep. Under "sim:" their (size, line) geometries are the
+// only ones hit answers, and each is checked with cache.Config's
+// Validate in enumeration order before the trace is generated, so an
+// invalid one fails the sweep at once with the first one's error.
+func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat []point) (surface, error) {
 	s := surface{name: cfg.EffectiveHitSource()}
 	prefix, name, _ := SourceWorkload(s.name)
 	var curve func(ctx context.Context, line int) (*mrc.Curve, error)
@@ -94,14 +103,26 @@ func resolveSurface(ctx context.Context, cfg Config, caches Caches) surface {
 			return c, err
 		}
 	case "sim:":
+		tables := make(map[int]*simTable)
+		for _, p := range flat {
+			size := p.cacheKB << 10
+			t := tables[p.line]
+			if t == nil {
+				t = &simTable{}
+				tables[p.line] = t
+			}
+			if slices.Contains(t.sizes, size) {
+				continue
+			}
+			if err := (cache.Config{Size: size, LineSize: p.line, Assoc: cfg.Assoc}).Validate(); err != nil {
+				return surface{}, err
+			}
+			t.sizes = append(t.sizes, size)
+		}
 		refs := collectTrace(ctx, name, cfg)
 		s.refs = refs
-		s.hit = func(_ context.Context, size, line int) (float64, error) {
-			c, err := cache.New(cache.Config{Size: size, LineSize: line, Assoc: cfg.Assoc})
-			if err != nil {
-				return 0, err
-			}
-			return cache.Measure(c, refs).HitRatio, nil
+		s.hit = func(ctx context.Context, size, line int) (float64, error) {
+			return tables[line].hit(ctx, name, refs, line, cfg.Assoc, size)
 		}
 	}
 	if curve != nil {
@@ -113,7 +134,36 @@ func resolveSurface(ctx context.Context, cfg Config, caches Caches) surface {
 			return c.HitRatioAssoc(size, cfg.Assoc), nil
 		}
 	}
-	return s
+	return s, nil
+}
+
+// simTable is one line size's "sim:" hit ratios, by cache size.
+type simTable struct {
+	sizes  []int // the line's distinct cache sizes in bytes, in enumeration order
+	once   sync.Once
+	ratios []cache.SizeRatio // per sizes entry
+	err    error
+}
+
+// hit returns the hit ratio of a size-byte cache of line-byte lines.
+// The first call runs the line's one pass over every size in a
+// sim_pass span, on the caller's context, so the span nests under the
+// sweep_point that paid for it; concurrent calls wait for it.
+func (t *simTable) hit(ctx context.Context, workload string, refs []trace.Ref, line, assoc, size int) (float64, error) {
+	t.once.Do(func() {
+		_, span := obs.StartSpan(ctx, "sim_pass")
+		defer span.End()
+		span.SetArg("workload", workload)
+		span.SetArg("line_size", line)
+		span.SetArg("refs", len(refs))
+		span.SetArg("sizes", len(t.sizes))
+		t.ratios, t.err = cache.HitRatios(ctx, refs, line, assoc, t.sizes)
+	})
+	if t.err != nil {
+		return 0, t.err
+	}
+	r := t.ratios[slices.Index(t.sizes, size)]
+	return r.HitRatio, r.Err
 }
 
 // collectTrace generates the request's trace, the first SimRefs

@@ -96,13 +96,16 @@ func RunCaches(ctx context.Context, cfg Config, workers int, caches Caches) ([]D
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sweep: empty design space (every line < 2D, or no monotone hierarchy?)")
 	}
-	surf := resolveSurface(ctx, cfg, caches)
+	run, flat := runFlat, points
+	if len(cfg.Levels) > 0 {
+		run, flat = runHierarchy, nil
+	}
+	surf, err := resolveSurface(ctx, cfg, caches, flat)
+	if err != nil {
+		return nil, err
+	}
 
 	ctx = obs.WithSpanName(ctx, "sweep_point")
-	run := runFlat
-	if len(cfg.Levels) > 0 {
-		run = runHierarchy
-	}
 	out, err := run(ctx, cfg, workers, surf, points)
 	if err != nil {
 		return nil, err
