@@ -68,17 +68,12 @@ var ladder = []rung{
 			return nil
 		}
 	}},
-	// The work of an mrc_pass span: one exact profile.
-	{"mrc_pass_20k", 20_000, func(*testing.B) func() error {
-		refs := trace.Collect(trace.MustWorkload(trace.Ear, 1), 20_000)
-		return func() error {
-			c, err := mrc.ProfileRefs(refs, 64)
-			if err == nil && c.Refs != 20_000 {
-				err = fmt.Errorf("refs = %d, want 20000", c.Refs)
-			}
-			return err
-		}
-	}},
+	// The work of an mrc_pass span: one exact profile, over a trace
+	// with few distinct blocks (ear at 64 B lines: 1,188) and over one
+	// with many (doduc at 16 B lines: 10,223, for which a fresh index
+	// table doubles four times from its initial 1,024 cells).
+	mrcPass("mrc_pass_20k", trace.Ear, 64),
+	mrcPass("mrc_pass_doduc16_20k", trace.Doduc, 16),
 	// The work of a sim_pass span: the eight cache sizes of the 64-point
 	// grid at one line size, 2-way, simulated in one pass.
 	{"sim_pass_20k", 20_000, func(*testing.B) func() error {
@@ -245,6 +240,21 @@ func traceGen(name, workload string) rung {
 				return fmt.Errorf("refs = %d, want 20000", len(refs))
 			}
 			return nil
+		}
+	}}
+}
+
+// mrcPass is a row profiling 20,000 references of workload exactly at
+// line-byte lines.
+func mrcPass(name, workload string, line int) rung {
+	return rung{name, 20_000, func(*testing.B) func() error {
+		refs := trace.Collect(trace.MustWorkload(workload, 1), 20_000)
+		return func() error {
+			c, err := mrc.ProfileRefs(refs, line)
+			if err == nil && c.Refs != 20_000 {
+				err = fmt.Errorf("refs = %d, want 20000", c.Refs)
+			}
+			return err
 		}
 	}}
 }

@@ -21,8 +21,13 @@
 // b.ReportMetric (ns/ref for the rows that walk a trace). A failing
 // row or go test run exits non-zero and writes nothing. -compare exits
 // non-zero when a row's median ns/op exceeds -threshold (default
-// 1.25×) times the baseline's; CI runs it non-blocking, so a slow
-// runner flags but cannot block a merge.
+// 1.25×) times the baseline's, or, when the run's Go version and
+// GOMAXPROCS equal the baseline's, when a row's median allocs/op
+// exceeds the baseline's highest run: allocation counts repeat from
+// run to run, so that gate can block, but they move with the runtime
+// and the pool size, so it says why it skips on any other run. CI runs
+// -compare non-blocking, so a slow runner flags but cannot block a
+// merge.
 package main
 
 import (
@@ -266,7 +271,9 @@ func readBaseline(path string) (Document, error) {
 }
 
 // diff prints a per-benchmark comparison and errors when any current
-// median exceeds threshold × its baseline median ns/op. Benchmarks
+// median exceeds threshold × its baseline median ns/op, or, when cur
+// ran on the baseline's Go version and GOMAXPROCS, when any current
+// median allocs/op exceeds the baseline's highest run. Benchmarks
 // present on only one side are reported but never fail the check, so
 // adding a benchmark does not break an older baseline.
 func diff(w io.Writer, base, cur Document, threshold float64) error {
@@ -274,22 +281,37 @@ func diff(w io.Writer, base, cur Document, threshold float64) error {
 	for _, r := range base.Benchmarks {
 		baseline[r.Name] = r
 	}
+	gateAllocs := base.GoVersion != "" && base.GoVersion == cur.GoVersion && base.GOMAXPROCS == cur.GOMAXPROCS
 	var sb strings.Builder
+	if !gateAllocs {
+		fmt.Fprintf(&sb, "allocation gate skipped: the baseline ran %s at GOMAXPROCS %d, this run %s at GOMAXPROCS %d\n",
+			orUnknown(base.GoVersion), base.GOMAXPROCS, orUnknown(cur.GoVersion), cur.GOMAXPROCS)
+	}
 	var regressed []string
 	for _, r := range cur.Benchmarks {
 		b, ok := baseline[r.Name]
 		if !ok {
-			fmt.Fprintf(&sb, "%-24s %.0f ns/op (no baseline)\n", r.Name, r.NsPerOp)
+			fmt.Fprintf(&sb, "%-24s %.0f ns/op, %d allocs/op (no baseline)\n", r.Name, r.NsPerOp, r.AllocsPerOp)
 			continue
 		}
 		ratio := r.NsPerOp / b.NsPerOp
 		mark := "ok"
 		if ratio > threshold {
 			mark = "REGRESSED"
+		}
+		maxAllocs := b.AllocsPerOp
+		if u, ok := b.Units["allocs/op"]; ok {
+			maxAllocs = int64(u.Max)
+		}
+		allocMark := "ok"
+		if gateAllocs && r.AllocsPerOp > maxAllocs {
+			allocMark = "REGRESSED"
+		}
+		if mark != "ok" || allocMark != "ok" {
 			regressed = append(regressed, r.Name)
 		}
-		fmt.Fprintf(&sb, "%-24s %.0f ns/op vs %.0f baseline (%.2fx) %s\n",
-			r.Name, r.NsPerOp, b.NsPerOp, ratio, mark)
+		fmt.Fprintf(&sb, "%-24s %.0f ns/op vs %.0f baseline (%.2fx) %s; %d allocs/op vs %d baseline (highest run %d) %s\n",
+			r.Name, r.NsPerOp, b.NsPerOp, ratio, mark, r.AllocsPerOp, b.AllocsPerOp, maxAllocs, allocMark)
 		delete(baseline, r.Name)
 	}
 	removed := make([]string, 0, len(baseline))
@@ -304,7 +326,16 @@ func diff(w io.Writer, base, cur Document, threshold float64) error {
 		return err
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("%d benchmark(s) regressed more than %.2fx: %v", len(regressed), threshold, regressed)
+		return fmt.Errorf("%d benchmark(s) regressed (ns/op over %.2fx, or allocs/op over the baseline's highest run): %v",
+			len(regressed), threshold, regressed)
 	}
 	return nil
+}
+
+// orUnknown names a missing Go version.
+func orUnknown(v string) string {
+	if v == "" {
+		return "an unrecorded Go version"
+	}
+	return v
 }

@@ -168,6 +168,62 @@ func TestDiffFailsOnRegression(t *testing.T) {
 	}
 }
 
+// allocDocs returns a baseline recorded on Go version base, whose one
+// row's allocs/op runs spread from 10 to 12, and a run of that row at
+// allocs on Go version cur, both at GOMAXPROCS procs.
+func allocDocs(allocs int64, base, cur string, procs int) (Document, Document) {
+	b, c := doc("a"), doc("a")
+	b.GoVersion, b.GOMAXPROCS, c.GoVersion, c.GOMAXPROCS = base, procs, cur, procs
+	b.Benchmarks[0].AllocsPerOp = 11
+	b.Benchmarks[0].Units = map[string]Spread{"allocs/op": {Median: 11, Min: 10, Max: 12}}
+	c.Benchmarks[0].AllocsPerOp = allocs
+	return b, c
+}
+
+func TestDiffGatesAllocations(t *testing.T) {
+	for _, allocs := range []int64{9, 12} {
+		base, cur := allocDocs(allocs, "go1.24.0", "go1.24.0", 2)
+		var sb strings.Builder
+		if err := diff(&sb, base, cur, 1.25); err != nil {
+			t.Errorf("%d allocs/op within the baseline's runs failed: %v\n%s", allocs, err, sb.String())
+		}
+		if strings.Contains(sb.String(), "skipped") {
+			t.Errorf("matching toolchains skipped the allocation gate:\n%s", sb.String())
+		}
+	}
+	base, cur := allocDocs(13, "go1.24.0", "go1.24.0", 2)
+	var sb strings.Builder
+	err := diff(&sb, base, cur, 1.25)
+	if err == nil || !strings.Contains(err.Error(), "[a]") {
+		t.Fatalf("13 allocs/op over the baseline's highest run of 12: err = %v\n%s", err, sb.String())
+	}
+	if !strings.Contains(sb.String(), "13 allocs/op vs 11 baseline (highest run 12) REGRESSED") {
+		t.Errorf("diff output lacks the allocation verdict:\n%s", sb.String())
+	}
+}
+
+func TestDiffSkipsAllocationGateAcrossToolchains(t *testing.T) {
+	for _, c := range []struct{ base, cur, want string }{
+		{"go1.24.0", "go1.22.12", "the baseline ran go1.24.0 at GOMAXPROCS 2, this run go1.22.12 at GOMAXPROCS 2"},
+		{"", "go1.24.0", "the baseline ran an unrecorded Go version"},
+	} {
+		base, cur := allocDocs(50, c.base, c.cur, 2)
+		var sb strings.Builder
+		if err := diff(&sb, base, cur, 1.25); err != nil {
+			t.Errorf("baseline %q, run %q: the skipped gate failed the comparison: %v", c.base, c.cur, err)
+		}
+		if out := sb.String(); !strings.Contains(out, "allocation gate skipped: "+c.want) {
+			t.Errorf("baseline %q, run %q: output does not say why the gate was skipped:\n%s", c.base, c.cur, out)
+		}
+	}
+	base, cur := allocDocs(50, "go1.24.0", "go1.24.0", 2)
+	cur.GOMAXPROCS = 4
+	var sb strings.Builder
+	if err := diff(&sb, base, cur, 1.25); err != nil || !strings.Contains(sb.String(), "this run go1.24.0 at GOMAXPROCS 4") {
+		t.Errorf("GOMAXPROCS 4 against a baseline at 2: err = %v, output:\n%s", err, sb.String())
+	}
+}
+
 func TestDiffToleratesAsymmetricSuites(t *testing.T) {
 	// New benchmarks without a baseline and removed ones report but
 	// never fail, so suite growth doesn't invalidate old baselines.

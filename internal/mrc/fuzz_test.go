@@ -13,7 +13,8 @@ import (
 // LRU write-allocate caches — the exactness domain DESIGN.md §5.6
 // documents. Traces come from the named workload generators or, in one
 // mode, raw splitmix64 addresses confined to a small region so reuse
-// is frequent.
+// is frequent. Each input is profiled right after a different trace,
+// so its pass runs on a pooled index that trace left behind.
 func FuzzMRCMatchesSimulator(f *testing.F) {
 	f.Add(uint64(1994), uint16(2000), uint8(2), uint8(3), uint8(0))
 	f.Add(uint64(7), uint16(500), uint8(0), uint8(0), uint8(3))
@@ -42,6 +43,10 @@ func FuzzMRCMatchesSimulator(f *testing.F) {
 			}
 		}
 
+		other := trace.Collect(trace.MustWorkload(workloads[int(workIdx)%len(workloads)], seed+1), n/2+int(sizeShift))
+		if _, err := ProfileRefs(other, 16<<(int(sizeShift)%4)); err != nil {
+			t.Fatal(err)
+		}
 		curve, err := ProfileRefs(refs, line)
 		if err != nil {
 			t.Fatal(err)

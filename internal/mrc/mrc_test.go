@@ -2,9 +2,11 @@ package mrc
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"tradeoff/internal/trace"
@@ -46,10 +48,13 @@ func TestStackTreeMatchesBruteForce(t *testing.T) {
 	// values — a run of consecutive ones would hash without a single
 	// collision. Every 31st access removes a random block, which the
 	// uniform stream later re-accesses, so backward-shift deletion runs
-	// inside probe runs and its survivors must stay reachable.
+	// inside probe runs and its survivors must stay reachable. A second
+	// round over fresh blocks reuses the tree after reset, as a pooled
+	// pass does, and concentrates its stream on a small hot set, so both
+	// rounds measure distances inside the short-reuse window of
+	// shortWords occupancy words and beyond it.
 	const blocks = 5000
 	tree := newStackTree()
-	brute := &bruteStack{}
 	cells0, slots0 := len(tree.table), 64*len(tree.occ)
 	rng := uint64(0x9E3779B97F4A7C15)
 	xorshift := func() uint64 {
@@ -58,37 +63,57 @@ func TestStackTreeMatchesBruteForce(t *testing.T) {
 		rng ^= rng << 17
 		return rng
 	}
-	ids := make([]uint64, blocks)
-	for i := range ids {
-		ids[i] = xorshift()
-	}
-	inPlace := 0
-	for i := 0; i < 60000; i++ {
-		r := xorshift()
-		block := ids[r%blocks]
-		slots, next := len(tree.occ), tree.next
-		got, want := tree.access(block), brute.access(block)
-		if got != want {
-			t.Fatalf("access %d (block %d): stackTree distance %d, brute force %d", i, block, got, want)
+	for round := 0; round < 2; round++ {
+		if round > 0 {
+			tree.reset()
 		}
-		if len(tree.occ) == slots && tree.next < next {
-			inPlace++
+		brute := &bruteStack{}
+		ids := make([]uint64, blocks)
+		for i := range ids {
+			ids[i] = xorshift()
 		}
-		if r%31 == 0 {
-			victim := ids[xorshift()%blocks]
-			tree.remove(victim)
-			brute.remove(victim)
+		inPlace, short, long := 0, 0, 0
+		for i := 0; i < 60000; i++ {
+			r := xorshift()
+			block := ids[r%blocks]
+			if round > 0 && r%4 != 0 {
+				block = ids[r%200]
+			}
+			if p := tree.table[tree.find(block)].slot; p != 0 && p != tree.next-1 && tree.next < 64*len(tree.occ) {
+				if tree.next>>6-p>>6 < shortWords {
+					short++
+				} else {
+					long++
+				}
+			}
+			slots, next := len(tree.occ), tree.next
+			got, want := tree.access(block), brute.access(block)
+			if got != want {
+				t.Fatalf("round %d, access %d (block %d): stackTree distance %d, brute force %d", round, i, block, got, want)
+			}
+			if len(tree.occ) == slots && tree.next < next {
+				inPlace++
+			}
+			if r%31 == 0 {
+				victim := ids[xorshift()%blocks]
+				tree.remove(victim)
+				brute.remove(victim)
+			}
+			if tree.blocks() != len(brute.stack) {
+				t.Fatalf("round %d, access %d: stackTree tracks %d blocks, brute force %d", round, i, tree.blocks(), len(brute.stack))
+			}
 		}
-		if tree.blocks() != len(brute.stack) {
-			t.Fatalf("access %d: stackTree tracks %d blocks, brute force %d", i, tree.blocks(), len(brute.stack))
+		if short < 1000 || long < 1000 {
+			t.Errorf("round %d: %d reuses inside the %d-word window and %d beyond it, want at least 1000 of each",
+				round, short, shortWords, long)
+		}
+		if inPlace < 3 {
+			t.Errorf("round %d: %d in-place renumbers, want at least 3", round, inPlace)
 		}
 	}
 	if len(tree.table) < 8*cells0 || 64*len(tree.occ) < 8*slots0 {
 		t.Errorf("table grew %d → %d cells and slots %d → %d, want both doubled at least 3 times",
 			cells0, len(tree.table), slots0, 64*len(tree.occ))
-	}
-	if inPlace < 3 {
-		t.Errorf("%d in-place renumbers, want at least 3", inPlace)
 	}
 	displaced := 0
 	for i, e := range tree.table {
@@ -462,5 +487,121 @@ func TestCurveCacheMemoizes(t *testing.T) {
 	}
 	if collected != 1 {
 		t.Fatal("an invalid spec collected a trace")
+	}
+}
+
+// TestPooledPassesMatchFreshTrees runs exact and sampled passes back
+// to back through the index pool, over traces of every workload at
+// three lengths and four line sizes, and holds each curve to one built
+// on a fresh private tree. The small sampler budget forces SHARDS
+// evictions, so remove runs on reused tables. The same passes then run
+// from concurrent goroutines, which share the pool (go test -race
+// checks them).
+func TestPooledPassesMatchFreshTrees(t *testing.T) {
+	type pass struct {
+		refs    []trace.Ref
+		line    int
+		sampled bool
+	}
+	sampler := SamplerConfig{Rate: 0.5, Budget: 256}
+	var passes []pass
+	for i, name := range trace.Workloads() {
+		for j, n := range []int{20_000, 700, 6_000} {
+			refs := trace.Collect(trace.MustWorkload(name, uint64(11+i)), n)
+			for k, line := range []int{16, 128, 32, 64} {
+				passes = append(passes, pass{refs, line, (i+j+k)%3 == 0})
+			}
+		}
+	}
+	evicted := false
+	fresh := make([]*Curve, len(passes))
+	for i, ps := range passes {
+		if ps.sampled {
+			p, err := NewSampledProfiler(ps.line, sampler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range ps.refs {
+				p.Access(r.Addr)
+			}
+			fresh[i] = p.Curve()
+			evicted = evicted || fresh[i].Rate < sampler.Rate
+			continue
+		}
+		p, err := NewProfiler(ps.line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range ps.refs {
+			p.Access(r.Addr)
+		}
+		fresh[i] = p.Curve()
+	}
+	if !evicted {
+		t.Fatal("no sampled pass evicted a block: remove never ran")
+	}
+	pooled := func(i int) error {
+		ps := passes[i]
+		var c *Curve
+		var err error
+		if ps.sampled {
+			c, err = ProfileSampledRefs(ps.refs, ps.line, sampler)
+		} else {
+			c, err = ProfileRefs(ps.refs, ps.line)
+		}
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(c, fresh[i]) {
+			return fmt.Errorf("pass %d (%d refs, %d B lines, sampled %v): pooled curve differs from a fresh tree's",
+				i, len(ps.refs), ps.line, ps.sampled)
+		}
+		return nil
+	}
+	for i := range passes {
+		if err := pooled(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(passes); i += goroutines {
+				if err := pooled((i + len(passes)/2) % len(passes)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestOversizedIndexDropped pins the drop rule: an index a pass over
+// many blocks grew is pooled after that pass, but after a pass over
+// few blocks it is more than oversize times what that pass needed, so
+// release drops it instead of pooling it.
+func TestOversizedIndexDropped(t *testing.T) {
+	big := trace.Collect(trace.MustWorkload(trace.Wave5, 1), 40_000) // 20,000 blocks at 16 B lines
+	small := trace.Collect(trace.MustWorkload(trace.Ear, 1), 100)
+	ix := &passIndex{tree: newStackTree()}
+	ix.profile(big, 16)
+	if ix.oversized() {
+		t.Fatalf("a %d-cell table is oversized for the %d blocks that grew it", len(ix.tree.table), ix.tree.blocks())
+	}
+	ix.tree.reset()
+	ix.profile(small, 128)
+	if !ix.oversized() {
+		t.Fatalf("a %d-cell table is not oversized for %d blocks (want more than %d× %d cells)",
+			len(ix.tree.table), ix.tree.blocks(), oversize, cellsFor(ix.tree.blocks()))
+	}
+	ix.release()
+	for i := 0; i < 8; i++ {
+		if got, _ := indexPool.Get().(*passIndex); got == ix {
+			t.Fatal("release pooled an oversized index")
+		}
 	}
 }

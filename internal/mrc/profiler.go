@@ -2,6 +2,7 @@ package mrc
 
 import (
 	"math/bits"
+	"sync"
 
 	"tradeoff/internal/trace"
 )
@@ -22,7 +23,12 @@ import (
 //     there are no tombstones.
 //
 // Slots are consumed left to right, and an access to the block that
-// already holds the newest slot (distance 0) consumes none. When
+// already holds the newest slot (distance 0) consumes none. A block
+// whose slot lies within shortWords occupancy words of the next one is
+// counted by popcounting those words instead of walking the Fenwick
+// tree. Moving a block's bit leaves the Fenwick tree alone when both
+// slots sit in one word, and otherwise updates it only below the
+// first node covering both words (move). When
 // slots run out, renumber moves every block to its slot's rank among
 // the live ones, 1..live, in place, doubling the slot bits only while
 // more than half of them are live; the index therefore stays
@@ -50,15 +56,34 @@ type treeEntry struct {
 // stays small.
 const maxLoadNum, maxLoadDen = 3, 4
 
-func newStackTree() *stackTree {
-	const slots, cells = 1 << 10, 1 << 10
-	return &stackTree{
-		occ:   make([]uint64, slots/64),
-		fen:   make([]int, slots/64+1),
-		table: make([]treeEntry, cells),
-		shift: 64 - 10,
+// initialBits is log2 of a fresh index's slots and table cells.
+const initialBits = 10
+
+// shortWords is the reach, in occupancy words, of access's short-reuse
+// path: the live slots above a previous slot fewer than this many words
+// below the next slot's (within the top 256 slots) are counted by
+// popcounting the words in between rather than by rank's Fenwick walk.
+const shortWords = 4
+
+func newStackTree() stackTree {
+	const size = 1 << initialBits
+	return stackTree{
+		occ:   make([]uint64, size/64),
+		fen:   make([]int, size/64+1),
+		table: make([]treeEntry, size),
+		shift: 64 - initialBits,
 		next:  1,
 	}
+}
+
+// cellsFor returns the table size a fresh index grows to while it
+// tracks live blocks.
+func cellsFor(live int) int {
+	cells := 1 << initialBits
+	for live*maxLoadDen > cells*maxLoadNum {
+		cells *= 2
+	}
+	return cells
 }
 
 // home returns block's preferred table cell (Fibonacci hashing: the
@@ -109,6 +134,32 @@ func (t *stackTree) rank(p int) int {
 	return s
 }
 
+// move shifts one live slot from word a to a later word b in the
+// Fenwick tree: add(a, −1) plus add(b, +1), whose update paths run
+// upward and merge at the first node covering both words. Above it
+// the two updates cancel, so the walk stops there, and nearby words
+// touch only a node or two.
+//
+//perf:hot
+func (t *stackTree) move(a, b int) {
+	i, j, n := a+1, b+1, len(t.fen)
+	for i != j {
+		if i < j {
+			if i >= n {
+				return
+			}
+			t.fen[i]--
+			i += i & -i
+		} else {
+			if j >= n {
+				return
+			}
+			t.fen[j]++
+			j += j & -j
+		}
+	}
+}
+
 // access moves block to the top of the LRU stack and returns the
 // stack distance it was found at: 0 when no other block intervened
 // since its previous access, −1 when the block was never seen. It
@@ -119,30 +170,43 @@ func (t *stackTree) access(block uint64) int {
 	if (t.live+1)*maxLoadDen > len(t.table)*maxLoadNum {
 		t.grow()
 	}
-	i := t.find(block)
-	e := &t.table[i]
+	if t.next == len(t.occ)*64 {
+		t.renumber()
+	}
+	e := &t.table[t.find(block)]
+	p, n := e.slot, t.next
+	wn := n >> 6
 	d := -1
-	if p := e.slot; p != 0 {
-		if p == t.next-1 {
+	if p == 0 {
+		e.block = block
+		t.add(wn, 1)
+		t.live++
+	} else {
+		if p == n-1 {
 			// Already on top: the stack does not change.
 			return 0
 		}
 		// Live slots after p are exactly the distinct blocks accessed
-		// since block's previous access. The occupancy bit must drop:
-		// renumber ranks slots by occ, so a stale bit would keep the
-		// cleared slot alive. (The entry's slot is simply overwritten
-		// below.)
-		d = t.live - t.rank(p)
-		t.kill(p)
+		// since block's previous access, and none lies at or above n.
+		wp := p >> 6
+		if wn-wp < shortWords {
+			// Short reuse: count them word by word.
+			d = bits.OnesCount64(t.occ[wp] >> uint(p&63+1))
+			for w := wp + 1; w <= wn; w++ {
+				d += bits.OnesCount64(t.occ[w])
+			}
+		} else {
+			d = t.live - t.rank(p)
+		}
+		// The occupancy bit must drop: renumber ranks slots by occ, so
+		// a stale bit would keep the vacated slot alive.
+		t.occ[wp] &^= 1 << uint(p&63)
+		if wp != wn {
+			t.move(wp, wn)
+		}
 	}
-	if t.next == len(t.occ)*64 {
-		t.renumber()
-	}
-	n := t.next
-	e.block, e.slot = block, n
-	t.occ[n>>6] |= 1 << uint(n&63)
-	t.add(n>>6, 1)
-	t.live++
+	e.slot = n
+	t.occ[wn] |= 1 << uint(n&63)
 	t.next++
 	return d
 }
@@ -175,6 +239,14 @@ func (t *stackTree) remove(block uint64) {
 
 // blocks returns the number of tracked blocks.
 func (t *stackTree) blocks() int { return t.live }
+
+// reset empties the tree, keeping its arrays.
+func (t *stackTree) reset() {
+	clear(t.table)
+	clear(t.occ)
+	clear(t.fen)
+	t.next, t.live = 1, 0
+}
 
 // grow doubles the table and re-inserts every entry.
 func (t *stackTree) grow() {
@@ -234,15 +306,82 @@ func (t *stackTree) renumber() {
 	}
 }
 
+// passIndex is one pass's working memory: the stack tree and, for an
+// exact pass, its dense histogram. ProfileRefs and ProfileSampledRefs
+// take one from indexPool and hand it back cleared, so a pass
+// allocates only the Curve it returns and starts with the capacity an
+// earlier pass grew; the streaming profilers keep a private tree.
+type passIndex struct {
+	tree stackTree
+	hist []uint64
+}
+
+// indexPool holds cleared passIndexes between passes.
+var indexPool sync.Pool
+
+// oversize bounds how much larger than a returning pass's own need
+// (cellsFor its live blocks) an index's table may be and still be
+// pooled. Every array of an index grows with its table (the slot bits
+// stay within a small multiple of the live blocks, the histogram
+// within one of the deepest distance), so the table stands for them
+// all. Sixteen is four doublings: short passes over the same trace
+// length but different working sets share indexes, while one left by
+// a pass that tracked more than sixteen times as many blocks is
+// dropped, so a single long request cannot make every later short
+// pass clear and walk its arrays.
+const oversize = 16
+
+// takeIndex returns a cleared index from the pool, or a fresh one.
+func takeIndex() *passIndex {
+	if ix, ok := indexPool.Get().(*passIndex); ok {
+		return ix
+	}
+	return &passIndex{tree: newStackTree()}
+}
+
+// oversized reports whether ix's table is more than oversize times
+// what the pass that used it last needed for its live blocks.
+func (ix *passIndex) oversized() bool {
+	return len(ix.tree.table) > oversize*cellsFor(ix.tree.live)
+}
+
+// release hands ix back to the pool, cleared, unless it is oversized.
+// The histogram keeps its capacity at length 0: Profiler.Access zeroes
+// every bucket it extends into.
+func (ix *passIndex) release() {
+	if ix.oversized() {
+		return
+	}
+	ix.tree.reset()
+	ix.hist = ix.hist[:0]
+	indexPool.Put(ix)
+}
+
+// profile runs one exact pass over refs on ix. lineSize must be a
+// positive power of two.
+//
+//perf:hot
+func (ix *passIndex) profile(refs []trace.Ref, lineSize int) *Curve {
+	p := Profiler{lineShift: log2(uint64(lineSize)), lineSize: lineSize, tree: &ix.tree, hist: ix.hist}
+	for _, r := range refs {
+		p.Access(r.Addr)
+	}
+	ix.hist = p.hist
+	return p.Curve()
+}
+
 // Profiler measures exact reuse distances: Mattson's stack algorithm
-// over block addresses, one stackTree query per reference. Feed it
-// references with Access (or a whole trace with ProfileRefs) and
-// finish with Curve. A Profiler is not safe for concurrent use.
+// over block addresses, one stackTree query per reference, except
+// that a reference to the block referenced last (distance 0) skips
+// the tree. Feed it references with Access (or a whole trace with
+// ProfileRefs) and finish with Curve. A Profiler is not safe for
+// concurrent use.
 type Profiler struct {
 	lineShift uint
 	lineSize  int
 	tree      *stackTree
 	hist      []uint64 // hist[d] = references with stack distance d
+	last      uint64   // the block referenced last, once refs > 0
 	cold      uint64
 	refs      uint64
 }
@@ -253,11 +392,8 @@ func NewProfiler(lineSize int) (*Profiler, error) {
 	if err := validLineSize(lineSize); err != nil {
 		return nil, err
 	}
-	return &Profiler{
-		lineShift: log2(uint64(lineSize)),
-		lineSize:  lineSize,
-		tree:      newStackTree(),
-	}, nil
+	tree := newStackTree()
+	return &Profiler{lineShift: log2(uint64(lineSize)), lineSize: lineSize, tree: &tree}, nil
 }
 
 // Access records one reference. Loads and stores are profiled alike:
@@ -267,8 +403,13 @@ func NewProfiler(lineSize int) (*Profiler, error) {
 //
 //perf:hot
 func (p *Profiler) Access(addr uint64) {
+	block := addr >> p.lineShift
+	d := 0
+	if p.refs == 0 || block != p.last {
+		d = p.tree.access(block)
+		p.last = block
+	}
 	p.refs++
-	d := p.tree.access(addr >> p.lineShift)
 	if d < 0 {
 		p.cold++
 		return
@@ -301,16 +442,15 @@ func (p *Profiler) Curve() *Curve {
 }
 
 // ProfileRefs builds the exact curve of a materialized trace at one
-// line size.
+// line size, on a pooled index.
 //
 //perf:hot
 func ProfileRefs(refs []trace.Ref, lineSize int) (*Curve, error) {
-	p, err := NewProfiler(lineSize)
-	if err != nil {
+	if err := validLineSize(lineSize); err != nil {
 		return nil, err
 	}
-	for _, r := range refs {
-		p.Access(r.Addr)
-	}
-	return p.Curve(), nil
+	ix := takeIndex()
+	c := ix.profile(refs, lineSize)
+	ix.release()
+	return c, nil
 }

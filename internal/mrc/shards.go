@@ -93,22 +93,33 @@ type SampledProfiler struct {
 // NewSampledProfiler returns a SHARDS profiler at the given block
 // (line) size — a positive power of two — and sampler config.
 func NewSampledProfiler(lineSize int, cfg SamplerConfig) (*SampledProfiler, error) {
-	if err := validLineSize(lineSize); err != nil {
+	tree := newStackTree()
+	p, err := newSampledProfiler(lineSize, cfg, &tree)
+	if err != nil {
 		return nil, err
 	}
+	return &p, nil
+}
+
+// newSampledProfiler validates lineSize and cfg and returns a SHARDS
+// profiler over tree, which must be empty.
+func newSampledProfiler(lineSize int, cfg SamplerConfig, tree *stackTree) (SampledProfiler, error) {
+	if err := validLineSize(lineSize); err != nil {
+		return SampledProfiler{}, err
+	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return SampledProfiler{}, err
 	}
 	t := uint64(math.Ceil(cfg.Rate * shardsModulus))
 	if t == 0 {
 		t = 1
 	}
-	return &SampledProfiler{
+	return SampledProfiler{
 		lineShift: log2(uint64(lineSize)),
 		lineSize:  lineSize,
 		threshold: t,
 		budget:    cfg.Budget,
-		tree:      newStackTree(),
+		tree:      tree,
 		hist:      make(map[uint64]float64),
 	}, nil
 }
@@ -180,9 +191,12 @@ func (p *SampledProfiler) Curve() *Curve {
 	return c
 }
 
-// ProfileSampledRefs builds the SHARDS curve of a materialized trace.
+// ProfileSampledRefs builds the SHARDS curve of a materialized trace,
+// on a pooled stack tree.
 func ProfileSampledRefs(refs []trace.Ref, lineSize int, cfg SamplerConfig) (*Curve, error) {
-	p, err := NewSampledProfiler(lineSize, cfg)
+	ix := takeIndex()
+	defer ix.release()
+	p, err := newSampledProfiler(lineSize, cfg, &ix.tree)
 	if err != nil {
 		return nil, err
 	}

@@ -90,37 +90,48 @@ func TestStallAdmissionNeverEnumerates(t *testing.T) {
 // the default two ways) at the largest trace the default limits admit.
 const simGeometryProbe = `{"cache_kb":[1],"line_bytes":[1024],"bus_bits":[32],"latency_ns":360,"transfer_ns":60,"cpu_ns":30,"hit_source":"sim:ear","sim_refs":5000000}`
 
-// TestSimGeometryRejectedBeforeTrace pins that a "sim:" sweep whose
-// geometry the simulator rejects answers 422 before its trace is
-// generated: in under 10 ms, with under 1 MB allocated and no
-// trace_gen span, where generating the 5M-reference trace first took
-// most of a second.
+// simLevelProbe is a "sim:" hierarchy, as a sweep or as a search,
+// whose L1 the simulator accepts and whose one L2 geometry it rejects
+// (48 KiB is not a power of two), at the same trace length.
+const simLevelProbe = `{"cache_kb":[4],"line_bytes":[32],"bus_bits":[32],"latency_ns":360,"transfer_ns":60,"cpu_ns":30,"hit_source":"sim:ear","sim_refs":5000000,"levels":[{"cache_kb":[48],"latency_ns":90}],"area_budget":1e9}`
+
+// TestSimGeometryRejectedBeforeTrace pins that a "sim:" request whose
+// geometry the simulator rejects, flat or at any level of a hierarchy
+// sweep or search, answers 422 before its trace is generated: in under
+// 10 ms, with under 1 MB allocated and no trace_gen span, where
+// generating the 5M-reference trace first took most of a second.
 func TestSimGeometryRejectedBeforeTrace(t *testing.T) {
 	s := New(Options{})
 	h := s.Handler()
-	best := time.Duration(1<<63 - 1)
-	for try := 0; try < 3; try++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(simGeometryProbe)))
-		took := time.Since(start)
-		runtime.ReadMemStats(&after)
-		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "associativity 2 exceeds 1 lines") {
-			t.Fatalf("status %d (%s), want 422 naming the geometry", rec.Code, rec.Body)
+	for _, probe := range []struct{ path, body, want string }{
+		{"/v1/sweep", simGeometryProbe, "associativity 2 exceeds 1 lines"},
+		{"/v1/sweep", simLevelProbe, "L2: cache: size 49152 is not a positive power of two"},
+		{"/v1/optimize", simLevelProbe, "L2: cache: size 49152 is not a positive power of two"},
+	} {
+		best := time.Duration(1<<63 - 1)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			start := time.Now()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, probe.path, strings.NewReader(probe.body)))
+			took := time.Since(start)
+			runtime.ReadMemStats(&after)
+			if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), probe.want) {
+				t.Fatalf("%s %s: status %d (%s), want 422 naming %q", probe.path, probe.body, rec.Code, rec.Body, probe.want)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+				t.Fatalf("%s %s: %d bytes allocated before the 422, want under 1 MB", probe.path, probe.body, alloc)
+			}
+			best = min(best, took)
 		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-			t.Fatalf("%d bytes allocated before the 422, want under 1 MB", alloc)
+		if best >= 10*time.Millisecond {
+			t.Fatalf("%s %s: 422 after %v at best, want under 10 ms", probe.path, probe.body, best)
 		}
-		best = min(best, took)
-	}
-	if best >= 10*time.Millisecond {
-		t.Fatalf("422 after %v at best, want under 10 ms", best)
 	}
 	for _, rec := range s.ring.Snapshot(time.Time{}) {
 		if rec.Name == "trace_gen" {
-			t.Fatal("the rejected sweep generated its trace")
+			t.Fatal("a rejected request generated its trace")
 		}
 	}
 }

@@ -108,6 +108,8 @@ func FuzzEndpoints(f *testing.F) {
 	fuzzSeed(f, "/v1/sweep", wrapProbe())
 	fuzzSeed(f, "/v1/optimize", wrapProbe())
 	fuzzSeed(f, "/v1/sweep", simGeometryProbe)
+	fuzzSeed(f, "/v1/sweep", simLevelProbe)
+	fuzzSeed(f, "/v1/optimize", simLevelProbe)
 
 	h := New(Options{
 		Workers:     2,

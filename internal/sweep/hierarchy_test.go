@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"tradeoff/internal/cache"
+	"tradeoff/internal/model"
+	"tradeoff/internal/mrc"
+	"tradeoff/internal/obs"
 	"tradeoff/internal/trace"
 )
 
@@ -195,6 +198,80 @@ func TestHierarchySweepMeasured(t *testing.T) {
 		cancel()
 		if _, err := Run(ctx, cfg, 1); err == nil {
 			t.Fatal("cancelled context accepted")
+		}
+	}
+}
+
+// TestHierarchyCurveLevelsAtOwnAssoc pins that the curve tiers price
+// a deeper level at its own associativity, as "sim:" and the area
+// model do: the L2's local hit ratio is the stack-property share of
+// the curve corrected at the L2's assoc, so assoc 1 and 8 differ. The
+// tiers used to correct every level at the top-level assoc.
+func TestHierarchyCurveLevelsAtOwnAssoc(t *testing.T) {
+	const refs = 20_000
+	exact, err := mrc.ProfileRefs(trace.Collect(trace.MustWorkload("ear", 1994), refs), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	analytic, err := model.CurveFor(model.Spec{Workload: "ear", Seed: 1994, Refs: refs, LineSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for source, c := range map[string]*mrc.Curve{"mrc:ear": exact, "an:ear": analytic} {
+		l1 := c.HitRatioAssoc(4<<10, 2)
+		got := map[int]float64{}
+		for _, assoc := range []int{1, 8} {
+			cfg := Config{
+				CacheKB: []int{4}, LineBytes: []int{32}, BusBits: []int{64},
+				LatencyNS: 360, TransferNS: 60, CPUNS: 30,
+				HitSource: source, SimRefs: refs,
+				Levels: []LevelAxes{{CacheKB: []int{32}, Assoc: assoc, LatencyNS: 90}},
+			}
+			ds, err := Run(context.Background(), cfg, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[assoc] = ds[0].Levels[0].LocalHitRatio
+			if want := (c.HitRatioAssoc(32<<10, assoc) - l1) / (1 - l1); got[assoc] != want {
+				t.Errorf("%s: L2 at assoc %d has local hit ratio %v, want %v from the curve at that assoc",
+					source, assoc, got[assoc], want)
+			}
+		}
+		if got[1] == got[8] {
+			t.Errorf("%s: L2 local hit ratio %v at both assoc 1 and 8", source, got[1])
+		}
+	}
+}
+
+// TestCurveSearchLooksUpEachLineOnce pins that a curve-tier search,
+// whose 40 designs share 10 distinct geometries over 2 line sizes,
+// looks each line's curve up once: one memo span per line size, where
+// pricing every level of every design used to look up 84.
+func TestCurveSearchLooksUpEachLineOnce(t *testing.T) {
+	for _, source := range []string{"mrc:ear", "an:ear"} {
+		tracer := obs.NewTracer()
+		ctx := obs.WithTracer(context.Background(), tracer)
+		cfg := OptimizeConfig{
+			Config: Config{
+				CacheKB: []int{4, 8}, LineBytes: []int{16, 32}, BusBits: []int{32, 64},
+				LatencyNS: 360, TransferNS: 60, CPUNS: 30,
+				SimRefs: 20_000, HitSource: source,
+				Levels: []LevelAxes{
+					{CacheKB: []int{32, 64}, LatencyNS: 90},
+					{CacheKB: []int{256}, LatencyNS: 180},
+				},
+			},
+			AreaBudget: 2e7,
+		}
+		res, err := Optimize(ctx, cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Total != 40 {
+			t.Fatalf("%s: %d designs, want 40", source, res.Total)
+		}
+		if _, counts := tracedEvents(t, tracer); counts["memo"] != 2 {
+			t.Errorf("%s: %d memo spans, want 2, one per line size", source, counts["memo"])
 		}
 	}
 }

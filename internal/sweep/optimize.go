@@ -163,7 +163,12 @@ func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches
 	if len(points) == 0 {
 		return OptimizeResult{}, fmt.Errorf("sweep: empty optimize space (every line < 2D, or no monotone hierarchy?)")
 	}
-	surf, err := resolveSurface(ctx, cfg.Config, caches, points)
+	// Every deeper design the search may price, depth-major over the
+	// flat points: with lines enumerated exactly the ones it prices,
+	// with optimal lines a superset, which resolveSurface checks and
+	// indexes all the same.
+	deep := cfg.deeper(nil, points...)
+	surf, err := resolveSurface(ctx, cfg.Config, caches, points, deep)
 	if err != nil {
 		return OptimizeResult{}, err
 	}
@@ -180,37 +185,20 @@ func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches
 	// when they are optimal. An order entry i < len(kept) is kept[i];
 	// any other is deep[i-len(kept)], priced on the hierarchy pool.
 	kept := flat
+	order := make([]int, 0, len(flat)+len(deep))
 	if cfg.LineMode == LineModeOptimal {
-		kept = leastDelayLines(cfg.Config, flat)
-	}
-	var (
-		deep  []point
-		order []int
-	)
-	extend := func(d Design, depth int) {
-		sub := cfg.Config
-		sub.Levels = cfg.Levels[:depth]
-		n := len(deep)
-		deep = extendLevels(deep, sub, point{cacheKB: d.CacheKB, line: d.LineBytes, busBits: d.BusBits}, 0)
-		for j := n; j < len(deep); j++ {
-			order = append(order, len(kept)+j)
-		}
-	}
-	if cfg.LineMode == LineModeOptimal {
+		kept, deep = leastDelayLines(cfg.Config, flat), nil
 		for i, d := range kept {
 			order = append(order, i)
-			for depth := 1; depth < cfg.depth(); depth++ {
-				extend(d, depth)
+			n := len(deep)
+			deep = cfg.deeper(deep, point{cacheKB: d.CacheKB, line: d.LineBytes, busBits: d.BusBits})
+			for j := n; j < len(deep); j++ {
+				order = append(order, len(kept)+j)
 			}
 		}
 	} else {
-		for i := range kept {
+		for i := range len(kept) + len(deep) {
 			order = append(order, i)
-		}
-		for depth := 1; depth < cfg.depth(); depth++ {
-			for _, d := range kept {
-				extend(d, depth)
-			}
 		}
 	}
 	priced, err := runHierarchy(ctx, cfg.Config, workers, surf, deep)
@@ -237,6 +225,20 @@ func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches
 	}
 	MarkPareto(feasible)
 	return OptimizeResult{Total: len(order), Feasible: len(feasible), Designs: feasible}, nil
+}
+
+// deeper appends to deep every design at depths 2 through c.depth()
+// extending points, depth-major and in enumeration order within each
+// depth.
+func (c *OptimizeConfig) deeper(deep []point, points ...point) []point {
+	for depth := 1; depth < c.depth(); depth++ {
+		sub := c.Config
+		sub.Levels = c.Levels[:depth]
+		for _, p := range points {
+			deep = extendLevels(deep, sub, point{cacheKB: p.cacheKB, line: p.line, busBits: p.busBits}, 0)
+		}
+	}
+	return deep
 }
 
 // leastDelayLines applies the paper's §5.4 optimal-line criterion to

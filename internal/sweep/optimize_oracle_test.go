@@ -27,7 +27,8 @@ func oracleOptimize(ctx context.Context, cfg OptimizeConfig, workers int) (Optim
 	}
 	flatCfg := cfg.Config
 	flatCfg.Levels = nil
-	surf, err := resolveSurface(ctx, cfg.Config, Caches{}, enumerate(flatCfg))
+	flat := enumerate(flatCfg)
+	surf, err := resolveSurface(ctx, cfg.Config, Caches{}, flat, cfg.deeper(nil, flat...))
 	if err != nil {
 		return OptimizeResult{}, err
 	}
@@ -45,7 +46,7 @@ func oracleOptimize(ctx context.Context, cfg OptimizeConfig, workers int) (Optim
 			d, err = evaluateHierarchy(ctx, cfg.Config, surf, p)
 		} else {
 			var hr float64
-			if hr, err = surf.hit(ctx, p.cacheKB<<10, p.line); err == nil {
+			if hr, err = surf.hit(ctx, p.cacheKB<<10, p.line, cfg.Assoc); err == nil {
 				d, err = evaluate(cfg.Config, hr, surf.name, p)
 			}
 		}
@@ -121,7 +122,7 @@ func oracleLine(ctx context.Context, cfg Config, hit hitRatioFunc, kb, busBits i
 	case 1:
 		return candidates[0], true, nil
 	}
-	s := &hitSurface{ctx: ctx, hit: hit}
+	s := &hitSurface{ctx: ctx, hit: hit, assoc: cfg.Assoc}
 	best, err := linesize.MeanDelayOptimal(s, linesize.Config{
 		CacheSize: kb << 10,
 		BusWidth:  d,
@@ -141,13 +142,14 @@ func oracleLine(ctx context.Context, cfg Config, hit hitRatioFunc, kb, busBits i
 // hitSurface adapts a hitRatioFunc to the missratio.Surface linesize
 // selects over, keeping the first error the interface cannot carry.
 type hitSurface struct {
-	ctx context.Context
-	hit hitRatioFunc
-	err error
+	ctx   context.Context
+	hit   hitRatioFunc
+	assoc int
+	err   error
 }
 
 func (s *hitSurface) MissRatio(size, line int) float64 {
-	hr, err := s.hit(s.ctx, size, line)
+	hr, err := s.hit(s.ctx, size, line, s.assoc)
 	if err != nil {
 		if s.err == nil {
 			s.err = err

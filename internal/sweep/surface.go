@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 
@@ -26,9 +27,9 @@ func ErrorBound(source string) float64 {
 }
 
 // surface is a sweep's hit source resolved once, after Mode: the
-// effective source name stamped on every Design, the (size, line)
-// hit-ratio function, and, for "sim:" only, the request's trace, which
-// flat geometries and hierarchy points alike read.
+// effective source name stamped on every Design, the (size, line,
+// assoc) hit-ratio function, and, for "sim:" only, the request's
+// trace, which flat geometries and hierarchy points alike read.
 type surface struct {
 	name string
 	hit  hitRatioFunc
@@ -44,27 +45,33 @@ type surface struct {
 // cache scoped to this run). Both trace-driven tiers read the
 // request's one trace, generated at most once in a trace_gen span:
 // "sim:" generates it here, before any pool worker starts, and
-// simulates every size of a line in one cache.HitRatios pass, run
-// once per line size by the first geometry that asks for it; "mrc:"
+// simulates every size of a line in one cache.HitRatios pass; "mrc:"
 // and "mrc~:" generate it lazily, inside the memo flight of the first
 // curve that misses the cache, and profile every missing line size
 // from it. Either way the hit function is safe for concurrent use by
 // the pool. It assumes Validate has passed, so every workload name is
 // known.
 //
-// flat holds the points of a flat sweep or search, nil for a
-// hierarchy sweep. Under "sim:" their (size, line) geometries are the
-// only ones hit answers, and each is checked with cache.Config's
-// Validate in enumeration order before the trace is generated, so an
-// invalid one fails the sweep at once with the first one's error.
-func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat []point) (surface, error) {
+// flat and deep are the request's points in enumeration order: the
+// flat designs of a sweep or search, and the hierarchy designs of a
+// sweep or every deeper design a search may extend its flat ones to.
+// hit answers exactly their geometries: L1 at cfg.Assoc, and level i
+// at cfg.Levels[i-2].Assoc, the associativity the simulator and the
+// area model give it. Each tier but "model" prices a line size's
+// geometries together (lineTables), so a request looks each curve up
+// once and corrects each distinct geometry once. Under "sim:" every
+// geometry is first checked with cache.Config's Validate, in
+// enumeration order and before the trace is generated, so an invalid
+// one fails the request at once with the first one's error; a deep
+// point's levels are named as cache.NewHierarchy names them ("L1: …").
+func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat, deep []point) (surface, error) {
 	s := surface{name: cfg.EffectiveHitSource()}
 	prefix, name, _ := SourceWorkload(s.name)
 	var curve func(ctx context.Context, line int) (*mrc.Curve, error)
 	switch prefix {
 	case "":
 		m := missratio.DefaultModel()
-		s.hit = func(_ context.Context, size, line int) (float64, error) {
+		s.hit = func(_ context.Context, size, line, _ int) (float64, error) {
 			return 1 - m.MissRatio(size, line), nil
 		}
 	case "an:":
@@ -103,67 +110,123 @@ func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat []point
 			return c, err
 		}
 	case "sim:":
-		tables := make(map[int]*simTable)
+		var refs []trace.Ref
+		tables := lineTables{byLine: map[int]*lineTable{}, price: func(ctx context.Context, line int, geoms []shape) ([]cache.SizeRatio, error) {
+			_, span := obs.StartSpan(ctx, "sim_pass")
+			defer span.End()
+			span.SetArg("workload", name)
+			span.SetArg("line_size", line)
+			span.SetArg("refs", len(refs))
+			span.SetArg("sizes", len(geoms))
+			sizes := make([]int, len(geoms))
+			for i, g := range geoms {
+				sizes[i] = g.size
+			}
+			return cache.HitRatios(ctx, refs, line, cfg.Assoc, sizes)
+		}}
 		for _, p := range flat {
-			size := p.cacheKB << 10
-			t := tables[p.line]
-			if t == nil {
-				t = &simTable{}
-				tables[p.line] = t
+			if g := p.level(cfg, 0); tables.add(g) {
+				if err := g.Validate(); err != nil {
+					return surface{}, err
+				}
 			}
-			if slices.Contains(t.sizes, size) {
-				continue
-			}
-			if err := (cache.Config{Size: size, LineSize: p.line, Assoc: cfg.Assoc}).Validate(); err != nil {
-				return surface{}, err
-			}
-			t.sizes = append(t.sizes, size)
 		}
-		refs := collectTrace(ctx, name, cfg)
+		for _, p := range deep {
+			for i := range len(p.levels) + 1 {
+				if err := p.level(cfg, i).Validate(); err != nil {
+					return surface{}, fmt.Errorf("L%d: %w", i+1, err)
+				}
+			}
+		}
+		refs = collectTrace(ctx, name, cfg)
 		s.refs = refs
-		s.hit = func(ctx context.Context, size, line int) (float64, error) {
-			return tables[line].hit(ctx, name, refs, line, cfg.Assoc, size)
-		}
+		s.hit = tables.hit
 	}
 	if curve != nil {
-		s.hit = func(ctx context.Context, size, line int) (float64, error) {
+		tables := lineTables{byLine: map[int]*lineTable{}, price: func(ctx context.Context, line int, geoms []shape) ([]cache.SizeRatio, error) {
 			c, err := curve(ctx, line)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			return c.HitRatioAssoc(size, cfg.Assoc), nil
+			ratios := make([]cache.SizeRatio, len(geoms))
+			for i, g := range geoms {
+				ratios[i].HitRatio = c.HitRatioAssoc(g.size, g.assoc)
+			}
+			return ratios, nil
+		}}
+		for _, p := range flat {
+			tables.add(p.level(cfg, 0))
 		}
+		for _, p := range deep {
+			for i := range len(p.levels) + 1 {
+				tables.add(p.level(cfg, i))
+			}
+		}
+		s.hit = tables.hit
 	}
 	return s, nil
 }
 
-// simTable is one line size's "sim:" hit ratios, by cache size.
-type simTable struct {
-	sizes  []int // the line's distinct cache sizes in bytes, in enumeration order
+// lineTables holds one request's hit ratios by line size: every
+// distinct (size, assoc) geometry the request prices at a line,
+// collected before the pool starts and priced together, by price, on
+// the first call for that line (one sim_pass, or one curve lookup and
+// one correction per geometry). The call runs on its caller's context,
+// so its spans nest under the sweep_point that paid for it; concurrent
+// callers wait for it.
+type lineTables struct {
+	byLine map[int]*lineTable
+	price  func(ctx context.Context, line int, geoms []shape) ([]cache.SizeRatio, error)
+}
+
+// lineTable is one line size's geometries and, once priced, their
+// ratios.
+type lineTable struct {
+	geoms  []shape // distinct, in enumeration order
 	once   sync.Once
-	ratios []cache.SizeRatio // per sizes entry
+	ratios []cache.SizeRatio // per geoms entry
 	err    error
 }
 
-// hit returns the hit ratio of a size-byte cache of line-byte lines.
-// The first call runs the line's one pass over every size in a
-// sim_pass span, on the caller's context, so the span nests under the
-// sweep_point that paid for it; concurrent calls wait for it.
-func (t *simTable) hit(ctx context.Context, workload string, refs []trace.Ref, line, assoc, size int) (float64, error) {
-	t.once.Do(func() {
-		_, span := obs.StartSpan(ctx, "sim_pass")
-		defer span.End()
-		span.SetArg("workload", workload)
-		span.SetArg("line_size", line)
-		span.SetArg("refs", len(refs))
-		span.SetArg("sizes", len(t.sizes))
-		t.ratios, t.err = cache.HitRatios(ctx, refs, line, assoc, t.sizes)
-	})
+// add records g's geometry and reports whether it is new.
+func (ts *lineTables) add(g cache.Config) bool {
+	t := ts.byLine[g.LineSize]
+	if t == nil {
+		t = &lineTable{}
+		ts.byLine[g.LineSize] = t
+	}
+	k := shape{size: g.Size, assoc: g.Assoc}
+	if slices.Contains(t.geoms, k) {
+		return false
+	}
+	t.geoms = append(t.geoms, k)
+	return true
+}
+
+// hit returns the hit ratio of a recorded geometry.
+func (ts *lineTables) hit(ctx context.Context, size, line, assoc int) (float64, error) {
+	t := ts.byLine[line]
+	t.once.Do(func() { t.ratios, t.err = ts.price(ctx, line, t.geoms) })
 	if t.err != nil {
 		return 0, t.err
 	}
-	r := t.ratios[slices.Index(t.sizes, size)]
+	r := t.ratios[slices.Index(t.geoms, shape{size: size, assoc: assoc})]
 	return r.HitRatio, r.Err
+}
+
+// shape is a cache's geometry at a known line size.
+type shape struct {
+	size, assoc int
+}
+
+// level returns p's cache at level i, counted from 0 at the top: L1
+// at cfg.Assoc, and each deeper level at its own axes' associativity.
+func (p point) level(cfg Config, i int) cache.Config {
+	if i == 0 {
+		return cache.Config{Size: p.cacheKB << 10, LineSize: p.line, Assoc: cfg.Assoc}
+	}
+	lp := p.levels[i-1]
+	return cache.Config{Size: lp.kb << 10, LineSize: lp.line, Assoc: cfg.Levels[i-1].Assoc}
 }
 
 // collectTrace generates the request's trace, the first SimRefs
@@ -182,12 +245,11 @@ func collectTrace(ctx context.Context, name string, cfg Config) []trace.Ref {
 // prices the levels off its curve via the LRU stack property instead.
 func (s surface) locals(ctx context.Context, cfg Config, p point) ([]float64, float64, error) {
 	if s.refs == nil {
-		return curveLocals(ctx, s.hit, p)
+		return curveLocals(ctx, s.hit, cfg, p)
 	}
-	cfgs := make([]cache.Config, 0, len(p.levels)+1)
-	cfgs = append(cfgs, cache.Config{Size: p.cacheKB << 10, LineSize: p.line, Assoc: cfg.Assoc})
-	for i, lp := range p.levels {
-		cfgs = append(cfgs, cache.Config{Size: lp.kb << 10, LineSize: lp.line, Assoc: cfg.Levels[i].Assoc})
+	cfgs := make([]cache.Config, len(p.levels)+1)
+	for i := range cfgs {
+		cfgs[i] = p.level(cfg, i)
 	}
 	h, err := cache.NewHierarchy(cfgs...)
 	if err != nil {

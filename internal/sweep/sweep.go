@@ -96,11 +96,11 @@ func RunCaches(ctx context.Context, cfg Config, workers int, caches Caches) ([]D
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sweep: empty design space (every line < 2D, or no monotone hierarchy?)")
 	}
-	run, flat := runFlat, points
+	run, flat, deep := runFlat, points, []point(nil)
 	if len(cfg.Levels) > 0 {
-		run, flat = runHierarchy, nil
+		run, flat, deep = runHierarchy, nil, points
 	}
-	surf, err := resolveSurface(ctx, cfg, caches, flat)
+	surf, err := resolveSurface(ctx, cfg, caches, flat, deep)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +140,7 @@ func runFlat(ctx context.Context, cfg Config, workers int, surf surface, points 
 			s.SetArg("cache_kb", g.cacheKB)
 			s.SetArg("line", g.line)
 		}
-		return surf.hit(ctx, g.cacheKB<<10, g.line)
+		return surf.hit(ctx, g.cacheKB<<10, g.line, cfg.Assoc)
 	})
 	if err != nil {
 		return nil, err
@@ -312,27 +312,23 @@ func evaluateHierarchy(ctx context.Context, cfg Config, surf surface, p point) (
 }
 
 // curveLocals prices every level off the configured hit-ratio curve
-// via the LRU stack property.
-func curveLocals(ctx context.Context, hit hitRatioFunc, p point) ([]float64, float64, error) {
-	locals := make([]float64, 0, len(p.levels)+1)
-	g, err := hit(ctx, p.cacheKB<<10, p.line)
-	if err != nil {
-		return nil, 0, err
-	}
-	g = clampRatio(g, 1)
-	locals = append(locals, g)
-	for _, lp := range p.levels {
-		gi, err := hit(ctx, lp.kb<<10, lp.line)
+// via the LRU stack property, each at its own associativity.
+func curveLocals(ctx context.Context, hit hitRatioFunc, cfg Config, p point) ([]float64, float64, error) {
+	locals := make([]float64, len(p.levels)+1)
+	g := 0.0
+	for i := range locals {
+		c := p.level(cfg, i)
+		gi, err := hit(ctx, c.Size, c.LineSize, c.Assoc)
 		if err != nil {
 			return nil, 0, err
 		}
 		gi = clampRatio(gi, 1)
-		local := 0.0
-		if gi > g && g < 1 {
-			local = (gi - g) / (1 - g)
-			g = gi
+		switch {
+		case i == 0:
+			locals[0], g = gi, gi
+		case gi > g && g < 1:
+			locals[i], g = (gi-g)/(1-g), gi
 		}
-		locals = append(locals, local)
 	}
 	return locals, g, nil
 }
@@ -349,10 +345,10 @@ func clampRatio(v, hi float64) float64 {
 	return v
 }
 
-// hitRatioFunc prices the hit ratio of a (size, line) cache. The
-// context carries the worker's span, so curve passes nest under their
-// sweep_point in a -trace export.
-type hitRatioFunc func(ctx context.Context, sizeBytes, line int) (float64, error)
+// hitRatioFunc prices the hit ratio of a (size, line, assoc) cache.
+// The context carries the worker's span, so curve passes nest under
+// their sweep_point in a -trace export.
+type hitRatioFunc func(ctx context.Context, sizeBytes, line, assoc int) (float64, error)
 
 // MarkPareto flags designs not dominated in (delay, area, pins).
 func MarkPareto(ds []Design) {

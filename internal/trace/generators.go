@@ -1,5 +1,7 @@
 package trace
 
+import "math"
+
 // This file provides the primitive access-pattern generators from which
 // the SPEC92-like program models in programs.go are composed. Each
 // generator is an infinite Source; wrap with Limit to bound it.
@@ -9,12 +11,34 @@ package trace
 type gapper struct {
 	rng   *RNG
 	instr uint64
-	mean  float64 // mean instructions per memory reference (>= 1)
+	hit   uint64 // a Bernoulli trial succeeds when its 53-bit draw is below ⌈p·2⁵³⌉, p = 1/mean
+	limit uint64 // uint64(mean·20), the trial cap; 0 when mean ≤ 1
+}
+
+// newGapper returns a gapper drawing geometric gaps of the given mean
+// (>= 1) from rng.
+func newGapper(rng *RNG, mean float64) gapper {
+	g := gapper{rng: rng}
+	if mean > 1 {
+		g.hit = uint64(math.Ceil(1 / mean * (1 << 53)))
+		g.limit = uint64(mean * 20)
+	}
+	return g
 }
 
 // next returns the instruction index for the next memory reference.
+// The gap is rng.Geometric(mean) with its per-call constants hoisted:
+// Bool(p) compares float64(x>>11)/2⁵³ < p, and since both x>>11 and
+// p·2⁵³ are exact in float64, that is x>>11 < ⌈p·2⁵³⌉, so the draws
+// and the gaps are bit-identical.
 func (g *gapper) next() uint64 {
-	g.instr += g.rng.Geometric(g.mean)
+	n := uint64(1)
+	if g.limit != 0 {
+		for g.rng.Uint64()>>11 >= g.hit && n < g.limit {
+			n++
+		}
+	}
+	g.instr += n
 	return g.instr - 1
 }
 
@@ -57,7 +81,7 @@ func (cfg SequentialConfig) Normalized() SequentialConfig {
 // wraps to the base address (a new outer-loop iteration).
 func Sequential(cfg SequentialConfig) Source {
 	cfg = cfg.Normalized()
-	return &sequential{cfg: cfg, g: gapper{rng: NewRNG(cfg.Seed), mean: cfg.GapMean}}
+	return &sequential{cfg: cfg, g: newGapper(NewRNG(cfg.Seed), cfg.GapMean)}
 }
 
 type sequential struct {
@@ -100,7 +124,7 @@ type Stencil2DConfig struct {
 // row apart.
 func Stencil2D(cfg Stencil2DConfig) Source {
 	cfg = cfg.Normalized()
-	return &stencil{cfg: cfg, g: gapper{rng: NewRNG(cfg.Seed), mean: cfg.GapMean}, row: 1, col: 1}
+	return &stencil{cfg: cfg, g: newGapper(NewRNG(cfg.Seed), cfg.GapMean), row: 1, col: 1}
 }
 
 // Normalized returns the config with generator defaults applied; see
@@ -191,7 +215,7 @@ type WorkingSetConfig struct {
 // larger SetBytes stresses the cache.
 func WorkingSet(cfg WorkingSetConfig) Source {
 	cfg = cfg.Normalized()
-	return &workingSet{cfg: cfg, g: gapper{rng: NewRNG(cfg.Seed), mean: cfg.GapMean}}
+	return &workingSet{cfg: cfg, g: newGapper(NewRNG(cfg.Seed), cfg.GapMean)}
 }
 
 // Normalized returns the config with generator defaults applied; see
@@ -265,7 +289,7 @@ func PointerChase(cfg PointerChaseConfig) Source {
 		j := rng.Intn(i)
 		next[i], next[j] = next[j], next[i]
 	}
-	return &pointerChase{cfg: cfg, g: gapper{rng: rng, mean: cfg.GapMean}, next: next}
+	return &pointerChase{cfg: cfg, g: newGapper(rng, cfg.GapMean), next: next}
 }
 
 // Normalized returns the config with generator defaults applied; see

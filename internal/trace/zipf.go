@@ -30,7 +30,15 @@ func ZipfReuse(cfg ZipfReuseConfig) Source {
 	// all collide in the same cache sets: rank i maps to line perm[i]
 	// via a linear permutation with an odd multiplier.
 	mul := rng.Uint64() | 1 | 1
-	return &zipfReuse{cfg: cfg, g: gapper{rng: rng, mean: cfg.GapMean}, mul: mul}
+	z := &zipfReuse{cfg: cfg, g: newGapper(rng, cfg.GapMean), mul: mul}
+	n := float64(cfg.Lines)
+	z.harmonic = math.Abs(cfg.Theta-1) < 1e-9
+	if z.harmonic {
+		z.logN = math.Log(n)
+	} else {
+		z.nPow, z.invOneMinus = math.Pow(n, 1-cfg.Theta), 1/(1-cfg.Theta)
+	}
+	return z
 }
 
 // Normalized returns the config with generator defaults applied; see
@@ -55,21 +63,26 @@ type zipfReuse struct {
 	cfg ZipfReuseConfig
 	g   gapper
 	mul uint64
+
+	// sampleRank's constants, computed once per generator from
+	// n = cfg.Lines and θ = cfg.Theta.
+	harmonic    bool    // θ = 1: the CDF is ∝ ln k
+	logN        float64 // ln n, when harmonic
+	nPow        float64 // n^(1−θ), otherwise
+	invOneMinus float64 // 1/(1−θ), otherwise
 }
 
-// sampleRank draws a popularity rank in [1, n] with P(k) ∝ k^(−θ) via
-// inverse-CDF sampling of the continuous approximation.
-func (z *zipfReuse) sampleRank(n int) int {
-	theta := z.cfg.Theta
+// sampleRank draws a popularity rank in [1, n], n = cfg.Lines, with
+// P(k) ∝ k^(−θ) via inverse-CDF sampling of the continuous
+// approximation.
+func (z *zipfReuse) sampleRank() int {
+	n := z.cfg.Lines
 	u := z.g.rng.Float64()
 	var k float64
-	if math.Abs(theta-1) < 1e-9 {
-		// θ = 1: CDF ∝ ln k.
-		k = math.Exp(u * math.Log(float64(n)))
+	if z.harmonic {
+		k = math.Exp(u * z.logN)
 	} else {
-		oneMinus := 1 - theta
-		nPow := math.Pow(float64(n), oneMinus)
-		k = math.Pow(u*(nPow-1)+1, 1/oneMinus)
+		k = math.Pow(u*(z.nPow-1)+1, z.invOneMinus)
 	}
 	d := int(k)
 	if d < 1 {
@@ -82,7 +95,7 @@ func (z *zipfReuse) sampleRank(n int) int {
 }
 
 func (z *zipfReuse) Next() (Ref, bool) {
-	rank := uint64(z.sampleRank(z.cfg.Lines) - 1)
+	rank := uint64(z.sampleRank() - 1)
 	lineIdx := (rank * z.mul) % uint64(z.cfg.Lines)
 	off := z.g.rng.Uint64() % uint64(z.cfg.LineBytes)
 	off &^= 3 // 4-byte aligned accesses

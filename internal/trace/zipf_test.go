@@ -73,10 +73,10 @@ func TestZipfThetaOneBranch(t *testing.T) {
 }
 
 func TestZipfRankBoundsQuick(t *testing.T) {
-	z := &zipfReuse{cfg: ZipfReuseConfig{Theta: 0.9}, g: gapper{rng: NewRNG(2), mean: 3}}
 	f := func(nRaw uint16) bool {
-		n := int(nRaw%5000) + 1
-		k := z.sampleRank(n)
+		n := int(nRaw%5000) + 2
+		z := ZipfReuse(ZipfReuseConfig{Seed: 2, Lines: n, Theta: 0.9}).(*zipfReuse)
+		k := z.sampleRank()
 		return k >= 1 && k <= n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
