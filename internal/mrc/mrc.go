@@ -20,9 +20,8 @@
 //     an open-addressing table finds a block's last access slot, and a
 //     Fenwick tree over 64-slot occupancy words counts the live slots
 //     after it. A reference to the block referenced last skips the
-//     index, and one whose slot lies within a few words of the top is
-//     counted by popcount. Slots are renumbered in place when they run
-//     out, so the index stays O(uniqueBlocks) in memory. ProfileRefs
+//     index. Slots are renumbered in place when they run out, so the
+//     index stays O(uniqueBlocks) in memory. ProfileRefs
 //     and ProfileSampledRefs take the index from a pool and hand it
 //     back cleared, so a pass over a materialized trace allocates only
 //     the Curve it returns.

@@ -23,13 +23,10 @@ import (
 //     there are no tombstones.
 //
 // Slots are consumed left to right, and an access to the block that
-// already holds the newest slot (distance 0) consumes none. A block
-// whose slot lies within shortWords occupancy words of the next one is
-// counted by popcounting those words instead of walking the Fenwick
-// tree. Moving a block's bit leaves the Fenwick tree alone when both
-// slots sit in one word, and otherwise updates it only below the
-// first node covering both words (move). When
-// slots run out, renumber moves every block to its slot's rank among
+// already holds the newest slot (distance 0) consumes none. Moving a
+// block's bit leaves the Fenwick tree alone when both slots sit in one
+// word, and otherwise updates it only below the first node covering
+// both words (move). When slots run out, renumber moves every block to its slot's rank among
 // the live ones, 1..live, in place, doubling the slot bits only while
 // more than half of them are live; the index therefore stays
 // O(uniqueBlocks) in memory and O(log uniqueBlocks) per access
@@ -58,12 +55,6 @@ const maxLoadNum, maxLoadDen = 3, 4
 
 // initialBits is log2 of a fresh index's slots and table cells.
 const initialBits = 10
-
-// shortWords is the reach, in occupancy words, of access's short-reuse
-// path: the live slots above a previous slot fewer than this many words
-// below the next slot's (within the top 256 slots) are counted by
-// popcounting the words in between rather than by rank's Fenwick walk.
-const shortWords = 4
 
 func newStackTree() stackTree {
 	const size = 1 << initialBits
@@ -187,19 +178,11 @@ func (t *stackTree) access(block uint64) int {
 			return 0
 		}
 		// Live slots after p are exactly the distinct blocks accessed
-		// since block's previous access, and none lies at or above n.
-		wp := p >> 6
-		if wn-wp < shortWords {
-			// Short reuse: count them word by word.
-			d = bits.OnesCount64(t.occ[wp] >> uint(p&63+1))
-			for w := wp + 1; w <= wn; w++ {
-				d += bits.OnesCount64(t.occ[w])
-			}
-		} else {
-			d = t.live - t.rank(p)
-		}
+		// since block's previous access.
+		d = t.live - t.rank(p)
 		// The occupancy bit must drop: renumber ranks slots by occ, so
 		// a stale bit would keep the vacated slot alive.
+		wp := p >> 6
 		t.occ[wp] &^= 1 << uint(p&63)
 		if wp != wn {
 			t.move(wp, wn)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -95,11 +96,18 @@ const simGeometryProbe = `{"cache_kb":[1],"line_bytes":[1024],"bus_bits":[32],"l
 // (48 KiB is not a power of two), at the same trace length.
 const simLevelProbe = `{"cache_kb":[4],"line_bytes":[32],"bus_bits":[32],"latency_ns":360,"transfer_ns":60,"cpu_ns":30,"hit_source":"sim:ear","sim_refs":5000000,"levels":[{"cache_kb":[48],"latency_ns":90}],"area_budget":1e9}`
 
+// simSettledProbe is a "sim:" search for optimal lines whose L2
+// geometry (48 KiB of 64-byte lines) the simulator rejects, and which
+// both L1 lines reach, so the search prices it whichever line it keeps.
+const simSettledProbe = `{"cache_kb":[4],"line_bytes":[32,64],"bus_bits":[32],"latency_ns":360,"transfer_ns":60,"cpu_ns":30,"hit_source":"sim:ear","sim_refs":5000000,"levels":[{"cache_kb":[48],"line_bytes":[64],"latency_ns":90}],"area_budget":1e9,"line_mode":"optimal"}`
+
 // TestSimGeometryRejectedBeforeTrace pins that a "sim:" request whose
 // geometry the simulator rejects, flat or at any level of a hierarchy
 // sweep or search, answers 422 before its trace is generated: in under
 // 10 ms, with under 1 MB allocated and no trace_gen span, where
-// generating the 5M-reference trace first took most of a second.
+// generating the 5M-reference trace first took most of a second. A
+// search for optimal lines does so for every level geometry it prices
+// whichever line it keeps.
 func TestSimGeometryRejectedBeforeTrace(t *testing.T) {
 	s := New(Options{})
 	h := s.Handler()
@@ -107,6 +115,7 @@ func TestSimGeometryRejectedBeforeTrace(t *testing.T) {
 		{"/v1/sweep", simGeometryProbe, "associativity 2 exceeds 1 lines"},
 		{"/v1/sweep", simLevelProbe, "L2: cache: size 49152 is not a positive power of two"},
 		{"/v1/optimize", simLevelProbe, "L2: cache: size 49152 is not a positive power of two"},
+		{"/v1/optimize", simSettledProbe, "L2: cache: size 49152 is not a positive power of two"},
 	} {
 		best := time.Duration(1<<63 - 1)
 		for try := 0; try < 3; try++ {
@@ -133,6 +142,49 @@ func TestSimGeometryRejectedBeforeTrace(t *testing.T) {
 		if rec.Name == "trace_gen" {
 			t.Fatal("a rejected request generated its trace")
 		}
+	}
+}
+
+// simUnsettledProbe is a "sim:" search for optimal lines whose L2
+// inherits the L1 line: the 4 KiB, 8-way L2 is valid at the 32-byte
+// line the search keeps, and would hold only 4 lines at the 1024-byte
+// one it drops.
+const simUnsettledProbe = `{"cache_kb":[2],"line_bytes":[32,1024],"bus_bits":[32],"latency_ns":360,"transfer_ns":60,"cpu_ns":30,"hit_source":"sim:ear","sim_refs":20000,"levels":[{"cache_kb":[4],"assoc":8,"latency_ns":90}],"area_budget":1e9,"line_mode":"%s"}`
+
+// TestSimSearchChecksOnlyLevelsItPrices pins that the geometry check
+// before the trace rejects no design a search never prices: with
+// optimal lines, simUnsettledProbe keeps the 32-byte line and answers
+// 200, its one deeper design extending that line; with lines
+// enumerated, it prices the 1024-byte design too and answers 422.
+func TestSimSearchChecksOnlyLevelsItPrices(t *testing.T) {
+	h := New(Options{}).Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(fmt.Sprintf(simUnsettledProbe, "optimal"))))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("optimal lines: status %d (%s), want 200", rec.Code, rec.Body)
+	}
+	var res struct {
+		Designs []sweep.Design `json:"designs"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	deep := 0
+	for _, d := range res.Designs {
+		if len(d.Levels) > 0 {
+			deep++
+			if d.LineBytes != 32 || d.Levels[0].LineBytes != 32 {
+				t.Errorf("deeper design %+v, want the kept 32-byte line at L1 and L2", d)
+			}
+		}
+	}
+	if deep != 1 {
+		t.Errorf("%d deeper designs, want 1", deep)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(fmt.Sprintf(simUnsettledProbe, "enumerate"))))
+	if want := "L2: cache: associativity 8 exceeds 4 lines"; rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("enumerated lines: status %d (%s), want 422 naming %q", rec.Code, rec.Body, want)
 	}
 }
 

@@ -110,6 +110,8 @@ func FuzzEndpoints(f *testing.F) {
 	fuzzSeed(f, "/v1/sweep", simGeometryProbe)
 	fuzzSeed(f, "/v1/sweep", simLevelProbe)
 	fuzzSeed(f, "/v1/optimize", simLevelProbe)
+	fuzzSeed(f, "/v1/optimize", simSettledProbe)
+	fuzzSeed(f, "/v1/optimize", fmt.Sprintf(simUnsettledProbe, "optimal"))
 
 	h := New(Options{
 		Workers:     2,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"tradeoff/internal/cache"
@@ -273,6 +274,47 @@ func TestCurveSearchLooksUpEachLineOnce(t *testing.T) {
 		if _, counts := tracedEvents(t, tracer); counts["memo"] != 2 {
 			t.Errorf("%s: %d memo spans, want 2, one per line size", source, counts["memo"])
 		}
+	}
+}
+
+// TestLineTablesPriceOnlyWhatIsHit pins that a line table opens its
+// line once and prices each geometry on its own first hit, from
+// whichever worker asks first: geometries nobody hits are never
+// priced, and one hit by many workers is priced once.
+func TestLineTablesPriceOnlyWhatIsHit(t *testing.T) {
+	var mu sync.Mutex
+	opened, priced := 0, map[int]int{}
+	ts := lineTables{byLine: map[int]*lineTable{}, open: func(_ context.Context, line int, geoms []shape) (func(i int) cache.SizeRatio, error) {
+		mu.Lock()
+		opened++
+		mu.Unlock()
+		return func(i int) cache.SizeRatio {
+			mu.Lock()
+			priced[i]++
+			mu.Unlock()
+			return cache.SizeRatio{HitRatio: float64(geoms[i].size) / float64(geoms[i].assoc)}
+		}, nil
+	}}
+	for _, g := range []cache.Config{{Size: 4096, LineSize: 32, Assoc: 2}, {Size: 8192, LineSize: 32, Assoc: 2}, {Size: 4096, LineSize: 32, Assoc: 8}} {
+		ts.add(g)
+	}
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			size, assoc := 4096, 2
+			if w%2 == 1 {
+				assoc = 8
+			}
+			if hr, err := ts.hit(context.Background(), size, 32, assoc); err != nil || hr != float64(size)/float64(assoc) {
+				t.Errorf("hit(%d, 32, %d) = %v, %v", size, assoc, hr, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if opened != 1 || priced[0] != 1 || priced[2] != 1 || priced[1] != 0 {
+		t.Errorf("line opened %d times, geometries priced %v; want 1 opening, geometries 0 and 2 priced once each, 1 never", opened, priced)
 	}
 }
 

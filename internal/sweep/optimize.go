@@ -165,10 +165,15 @@ func OptimizeCaches(ctx context.Context, cfg OptimizeConfig, workers int, caches
 	}
 	// Every deeper design the search may price, depth-major over the
 	// flat points: with lines enumerated exactly the ones it prices,
-	// with optimal lines a superset, which resolveSurface checks and
-	// indexes all the same.
+	// which resolveSurface indexes and checks; with optimal lines a
+	// superset, which it indexes whole but checks only where the
+	// geometry does not wait on the line the flat pass keeps.
 	deep := cfg.deeper(nil, points...)
-	surf, err := resolveSurface(ctx, cfg.Config, caches, points, deep)
+	var settled func(p point, i int) bool
+	if cfg.LineMode == LineModeOptimal {
+		settled = cfg.settled(points)
+	}
+	surf, err := resolveSurface(ctx, cfg.Config, caches, points, deep, settled)
 	if err != nil {
 		return OptimizeResult{}, err
 	}
@@ -239,6 +244,40 @@ func (c *OptimizeConfig) deeper(deep []point, points ...point) []point {
 		}
 	}
 	return deep
+}
+
+// settled reports whether an optimal-line search prices level i of
+// the deeper design p whichever line it keeps for p's (cache size,
+// bus width): whether the deeper designs of every line enumerated for
+// that pair share the level's geometry. A level that inherits the
+// kept line, or that only the shorter lines reach, is not settled
+// until the flat pass has picked.
+func (c *OptimizeConfig) settled(points []point) func(p point, i int) bool {
+	type pair struct{ kb, bus int }
+	type geom struct {
+		pair
+		level, kb, line int
+	}
+	lines := make(map[pair]int)   // lines enumerated per pair
+	reached := make(map[geom]int) // of them, the lines whose deeper designs share geom
+	for _, p := range points {
+		k := pair{p.cacheKB, p.busBits}
+		lines[k]++
+		seen := make(map[geom]bool)
+		for _, d := range c.deeper(nil, p) {
+			for i, lp := range d.levels {
+				g := geom{k, i + 1, lp.kb, lp.line}
+				if !seen[g] {
+					seen[g] = true
+					reached[g]++
+				}
+			}
+		}
+	}
+	return func(p point, i int) bool {
+		k, lp := pair{p.cacheKB, p.busBits}, p.levels[i-1]
+		return reached[geom{k, i, lp.kb, lp.line}] == lines[k]
+	}
 }
 
 // leastDelayLines applies the paper's §5.4 optimal-line criterion to

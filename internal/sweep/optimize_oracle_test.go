@@ -28,7 +28,7 @@ func oracleOptimize(ctx context.Context, cfg OptimizeConfig, workers int) (Optim
 	flatCfg := cfg.Config
 	flatCfg.Levels = nil
 	flat := enumerate(flatCfg)
-	surf, err := resolveSurface(ctx, cfg.Config, Caches{}, flat, cfg.deeper(nil, flat...))
+	surf, err := resolveSurface(ctx, cfg.Config, Caches{}, flat, cfg.deeper(nil, flat...), nil)
 	if err != nil {
 		return OptimizeResult{}, err
 	}

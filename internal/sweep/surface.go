@@ -57,14 +57,18 @@ type surface struct {
 // sweep or every deeper design a search may extend its flat ones to.
 // hit answers exactly their geometries: L1 at cfg.Assoc, and level i
 // at cfg.Levels[i-2].Assoc, the associativity the simulator and the
-// area model give it. Each tier but "model" prices a line size's
+// area model give it. Each tier but "model" indexes a line size's
 // geometries together (lineTables), so a request looks each curve up
-// once and corrects each distinct geometry once. Under "sim:" every
-// geometry is first checked with cache.Config's Validate, in
-// enumeration order and before the trace is generated, so an invalid
-// one fails the request at once with the first one's error; a deep
-// point's levels are named as cache.NewHierarchy names them ("L1: …").
-func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat, deep []point) (surface, error) {
+// once and corrects each distinct geometry it prices once. Under
+// "sim:" every flat geometry, and every deeper level i of a deep
+// point p for which settled(p, i) holds (all of them when settled is
+// nil), is first checked with cache.Config's Validate, in enumeration
+// order and before the trace is generated, so an invalid one fails
+// the request at once with the first one's error; a deep point's
+// levels are named as cache.NewHierarchy names them ("L1: …"). A
+// level left unchecked, one a search may never price, fails later, in
+// cache.NewHierarchy, if its design is priced.
+func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat, deep []point, settled func(p point, i int) bool) (surface, error) {
 	s := surface{name: cfg.EffectiveHitSource()}
 	prefix, name, _ := SourceWorkload(s.name)
 	var curve func(ctx context.Context, line int) (*mrc.Curve, error)
@@ -111,7 +115,7 @@ func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat, deep [
 		}
 	case "sim:":
 		var refs []trace.Ref
-		tables := lineTables{byLine: map[int]*lineTable{}, price: func(ctx context.Context, line int, geoms []shape) ([]cache.SizeRatio, error) {
+		tables := lineTables{byLine: map[int]*lineTable{}, open: func(ctx context.Context, line int, geoms []shape) (func(i int) cache.SizeRatio, error) {
 			_, span := obs.StartSpan(ctx, "sim_pass")
 			defer span.End()
 			span.SetArg("workload", name)
@@ -122,7 +126,11 @@ func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat, deep [
 			for i, g := range geoms {
 				sizes[i] = g.size
 			}
-			return cache.HitRatios(ctx, refs, line, cfg.Assoc, sizes)
+			ratios, err := cache.HitRatios(ctx, refs, line, cfg.Assoc, sizes)
+			if err != nil {
+				return nil, err
+			}
+			return func(i int) cache.SizeRatio { return ratios[i] }, nil
 		}}
 		for _, p := range flat {
 			if g := p.level(cfg, 0); tables.add(g) {
@@ -133,6 +141,9 @@ func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat, deep [
 		}
 		for _, p := range deep {
 			for i := range len(p.levels) + 1 {
+				if i > 0 && settled != nil && !settled(p, i) {
+					continue
+				}
 				if err := p.level(cfg, i).Validate(); err != nil {
 					return surface{}, fmt.Errorf("L%d: %w", i+1, err)
 				}
@@ -143,16 +154,14 @@ func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat, deep [
 		s.hit = tables.hit
 	}
 	if curve != nil {
-		tables := lineTables{byLine: map[int]*lineTable{}, price: func(ctx context.Context, line int, geoms []shape) ([]cache.SizeRatio, error) {
+		tables := lineTables{byLine: map[int]*lineTable{}, open: func(ctx context.Context, line int, geoms []shape) (func(i int) cache.SizeRatio, error) {
 			c, err := curve(ctx, line)
 			if err != nil {
 				return nil, err
 			}
-			ratios := make([]cache.SizeRatio, len(geoms))
-			for i, g := range geoms {
-				ratios[i].HitRatio = c.HitRatioAssoc(g.size, g.assoc)
-			}
-			return ratios, nil
+			return func(i int) cache.SizeRatio {
+				return cache.SizeRatio{HitRatio: c.HitRatioAssoc(geoms[i].size, geoms[i].assoc)}
+			}, nil
 		}}
 		for _, p := range flat {
 			tables.add(p.level(cfg, 0))
@@ -168,24 +177,34 @@ func resolveSurface(ctx context.Context, cfg Config, caches Caches, flat, deep [
 }
 
 // lineTables holds one request's hit ratios by line size: every
-// distinct (size, assoc) geometry the request prices at a line,
-// collected before the pool starts and priced together, by price, on
-// the first call for that line (one sim_pass, or one curve lookup and
-// one correction per geometry). The call runs on its caller's context,
-// so its spans nest under the sweep_point that paid for it; concurrent
-// callers wait for it.
+// distinct (size, assoc) geometry the request may price at a line,
+// collected before the pool starts. The first hit at a line opens it
+// (one sim_pass over every size, or one curve lookup), and each
+// geometry is then priced on its own first hit (a "sim:" table read,
+// or one curve correction), so the pool's workers correct distinct
+// geometries in parallel and a geometry nobody asks for costs
+// nothing. Each step runs on its caller's context, so its spans nest
+// under the sweep_point that paid for it; concurrent callers wait for
+// it.
 type lineTables struct {
 	byLine map[int]*lineTable
-	price  func(ctx context.Context, line int, geoms []shape) ([]cache.SizeRatio, error)
+	open   func(ctx context.Context, line int, geoms []shape) (func(i int) cache.SizeRatio, error)
 }
 
-// lineTable is one line size's geometries and, once priced, their
-// ratios.
+// lineTable is one line size's geometries and, once opened, the
+// pricer of geoms[i] and each geometry's ratio.
 type lineTable struct {
 	geoms  []shape // distinct, in enumeration order
 	once   sync.Once
-	ratios []cache.SizeRatio // per geoms entry
+	price  func(i int) cache.SizeRatio
 	err    error
+	ratios []shapeRatio // per geoms entry, made when the line opens
+}
+
+// shapeRatio is one geometry's ratio, priced on its first hit.
+type shapeRatio struct {
+	once sync.Once
+	cache.SizeRatio
 }
 
 // add records g's geometry and reports whether it is new.
@@ -206,11 +225,16 @@ func (ts *lineTables) add(g cache.Config) bool {
 // hit returns the hit ratio of a recorded geometry.
 func (ts *lineTables) hit(ctx context.Context, size, line, assoc int) (float64, error) {
 	t := ts.byLine[line]
-	t.once.Do(func() { t.ratios, t.err = ts.price(ctx, line, t.geoms) })
+	t.once.Do(func() {
+		t.price, t.err = ts.open(ctx, line, t.geoms)
+		t.ratios = make([]shapeRatio, len(t.geoms))
+	})
 	if t.err != nil {
 		return 0, t.err
 	}
-	r := t.ratios[slices.Index(t.geoms, shape{size: size, assoc: assoc})]
+	i := slices.Index(t.geoms, shape{size: size, assoc: assoc})
+	r := &t.ratios[i]
+	r.once.Do(func() { r.SizeRatio = t.price(i) })
 	return r.HitRatio, r.Err
 }
 

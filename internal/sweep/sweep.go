@@ -100,7 +100,7 @@ func RunCaches(ctx context.Context, cfg Config, workers int, caches Caches) ([]D
 	if len(cfg.Levels) > 0 {
 		run, flat, deep = runHierarchy, nil, points
 	}
-	surf, err := resolveSurface(ctx, cfg, caches, flat, deep)
+	surf, err := resolveSurface(ctx, cfg, caches, flat, deep, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -72,12 +73,29 @@ func TestZipfThetaOneBranch(t *testing.T) {
 	}
 }
 
+// TestZipfRankBoundsQuick draws ranks from generators of random size,
+// skew and seed, and checks each against the bounds and against the
+// inverse CDF evaluated from scratch at the same draw, so the
+// constants a generator precomputes are checked at many points.
 func TestZipfRankBoundsQuick(t *testing.T) {
-	f := func(nRaw uint16) bool {
+	thetas := []float64{0.5, 0.9, 1, 1.5}
+	f := func(nRaw uint16, thetaRaw uint8, seed uint64) bool {
 		n := int(nRaw%5000) + 2
-		z := ZipfReuse(ZipfReuseConfig{Seed: 2, Lines: n, Theta: 0.9}).(*zipfReuse)
-		k := z.sampleRank()
-		return k >= 1 && k <= n
+		theta := thetas[int(thetaRaw)%len(thetas)]
+		z := ZipfReuse(ZipfReuseConfig{Seed: seed, Lines: n, Theta: theta}).(*zipfReuse)
+		for range 20 {
+			peek := *z.g.rng
+			u := peek.Float64() // the draw sampleRank is about to make
+			k := z.sampleRank()
+			want := math.Pow(u*(math.Pow(float64(n), 1-theta)-1)+1, 1/(1-theta))
+			if theta == 1 {
+				want = math.Exp(u * math.Log(float64(n)))
+			}
+			if k < 1 || k > n || k != min(max(int(want), 1), n) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
