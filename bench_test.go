@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -204,14 +205,25 @@ var ladder = []rung{
 	}},
 
 	// Observability: the flight recorder's per-span cost, which every
-	// completed span pays on the request path, and one metrics-history
-	// snapshot cycle at production scale (the runtime collector plus
-	// 20 summaries).
+	// completed span pays on the request path; the access-log line
+	// every tradeoffd request writes, with its nine fields; and one
+	// metrics-history snapshot cycle at production scale (the runtime
+	// collector plus 20 summaries).
 	{"span_ring_record", 0, func(*testing.B) func() error {
 		r := obs.NewSpanRing(8192)
 		rec := obs.SpanRecord{Name: "bench", Start: time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC), Dur: time.Millisecond, TID: 1}
 		return func() error {
 			r.Record(rec)
+			return nil
+		}
+	}},
+	{"access_log_line", 0, func(*testing.B) func() error {
+		l := obs.NewLogger(io.Discard, obs.LevelInfo)
+		status, dur, n := http.StatusOK, int64(5113), 2191
+		return func() error {
+			l.Info("request", "method", http.MethodPost, "path", "/v1/sweep", "status", status,
+				"duration_us", dur, "bytes", n, "request_id", "6f1a2b3c4d5e6f70",
+				"endpoint", "/v1/sweep", "cache", "miss", "key", "90f7a3b4c1d2e5f6")
 			return nil
 		}
 	}},

@@ -77,10 +77,6 @@ func New(body *ast.BlockStmt) *Graph {
 	return g
 }
 
-// BlockOf returns the block holding n — a simple statement or a
-// composite statement's guard — or nil if n is not in the graph.
-func (g *Graph) BlockOf(n ast.Node) *Block { return g.nodeBlock[n] }
-
 // FollowBlock returns the block where execution resumes after a
 // composite statement completes (the loop exit, the if join), or nil.
 func (g *Graph) FollowBlock(s ast.Stmt) *Block { return g.follow[s] }

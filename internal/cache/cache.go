@@ -9,10 +9,7 @@
 // (bytes of dirty lines copied back per byte fetched).
 package cache
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // WriteMissPolicy selects how write misses are handled (§3.1).
 type WriteMissPolicy int
@@ -140,9 +137,6 @@ func (c Config) Sets() int {
 	}
 	return lines / assoc
 }
-
-// ErrNotPowerOfTwo is returned by helpers that require power-of-two sizes.
-var ErrNotPowerOfTwo = errors.New("cache: value is not a power of two")
 
 // Outcome describes what a single access did. Fill and Writeback carry
 // the information the memory-timing and stall models need.

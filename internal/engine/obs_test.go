@@ -143,8 +143,8 @@ func TestMemoOutcomesTracedAndCounted(t *testing.T) {
 	if _, shared, _ := m.Do(ctx, "k", compute); !shared {
 		t.Fatal("second Do should hit")
 	}
-	if st.MemoMiss.Value() != 1 || st.MemoHit.Value() != 1 {
-		t.Fatalf("miss=%d hit=%d, want 1/1", st.MemoMiss.Value(), st.MemoHit.Value())
+	if st.MemoMiss.Load() != 1 || st.MemoHit.Load() != 1 {
+		t.Fatalf("miss=%d hit=%d, want 1/1", st.MemoMiss.Load(), st.MemoHit.Load())
 	}
 
 	// Shared flight: a slow leader plus a follower on a new key.
@@ -177,8 +177,8 @@ func TestMemoOutcomesTracedAndCounted(t *testing.T) {
 	close(release)
 	<-done
 	wg.Wait()
-	if st.MemoShared.Value() != 1 {
-		t.Fatalf("shared = %d, want 1", st.MemoShared.Value())
+	if st.MemoShared.Load() != 1 {
+		t.Fatalf("shared = %d, want 1", st.MemoShared.Load())
 	}
 
 	outcomes := map[string]int{}

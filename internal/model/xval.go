@@ -95,12 +95,11 @@ func CrossValidate(ctx context.Context, workload string, seed uint64, refs, line
 	if err != nil {
 		return Report{}, err
 	}
-	src, err := trace.NewWorkload(workload, seed)
+	// One trace feeds both the exact profile and the replay leg.
+	tr, err := trace.Generate(ctx, workload, seed, refs)
 	if err != nil {
 		return Report{}, err
 	}
-	// One trace feeds both the exact profile and the replay leg.
-	tr := trace.Collect(src, refs)
 	exact, err := mrc.ProfileRefs(tr, lineSize)
 	if err != nil {
 		return Report{}, err

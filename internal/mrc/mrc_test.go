@@ -40,6 +40,29 @@ func (b *bruteStack) remove(block uint64) {
 	}
 }
 
+// freshProfiler returns an exact profiler at line on a private tree,
+// outside the index pool.
+func freshProfiler(t *testing.T, line int) *Profiler {
+	t.Helper()
+	if err := validLineSize(line); err != nil {
+		t.Fatal(err)
+	}
+	tree := newStackTree()
+	return &Profiler{lineShift: log2(uint64(line)), lineSize: line, tree: &tree}
+}
+
+// freshSampledProfiler returns a SHARDS profiler at line on a private
+// tree, outside the index pool.
+func freshSampledProfiler(t *testing.T, line int, cfg SamplerConfig) *SampledProfiler {
+	t.Helper()
+	tree := newStackTree()
+	p, err := newSampledProfiler(line, cfg, &tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &p
+}
+
 func TestStackTreeMatchesBruteForce(t *testing.T) {
 	// A working set of about 5,000 blocks doubles the table and the slot
 	// bits from their initial 1<<10 several times, with probe runs long
@@ -155,10 +178,7 @@ func TestProfileRefsMatchesBruteForce(t *testing.T) {
 
 func TestProfilerSmallTrace(t *testing.T) {
 	// a b c a b c: 3 cold misses, then 3 references at distance 2.
-	p, err := NewProfiler(64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := freshProfiler(t, 64)
 	for _, b := range []uint64{0, 1, 2, 0, 1, 2} {
 		p.Access(b * 64)
 	}
@@ -209,10 +229,7 @@ func TestCurveMonotone(t *testing.T) {
 }
 
 func TestEmptyCurve(t *testing.T) {
-	p, err := NewProfiler(64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := freshProfiler(t, 64)
 	c := p.Curve()
 	if got := c.HitRatio(1 << 20); got != 0 {
 		t.Fatalf("empty curve HitRatio=%g, want 0 (matching cache.Stats)", got)
@@ -222,13 +239,14 @@ func TestEmptyCurve(t *testing.T) {
 	}
 }
 
-func TestNewProfilerRejectsBadLineSize(t *testing.T) {
+func TestProfileRejectsBadLineSize(t *testing.T) {
+	refs := trace.Collect(trace.MustWorkload(trace.Ear, 1), 100)
 	for _, bad := range []int{0, -8, 24, 100} {
-		if _, err := NewProfiler(bad); err == nil {
-			t.Errorf("NewProfiler(%d): want error", bad)
+		if _, err := ProfileRefs(refs, bad); err == nil {
+			t.Errorf("ProfileRefs(%d): want error", bad)
 		}
-		if _, err := NewSampledProfiler(bad, DefaultSampler()); err == nil {
-			t.Errorf("NewSampledProfiler(%d): want error", bad)
+		if _, err := ProfileSampledRefs(refs, bad, DefaultSampler()); err == nil {
+			t.Errorf("ProfileSampledRefs(%d): want error", bad)
 		}
 	}
 }
@@ -288,10 +306,7 @@ func TestSampledRateOneMatchesExact(t *testing.T) {
 
 func TestSampledBudgetBoundsTracking(t *testing.T) {
 	const budget = 128
-	p, err := NewSampledProfiler(64, SamplerConfig{Rate: 1, Budget: budget})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := freshSampledProfiler(t, 64, SamplerConfig{Rate: 1, Budget: budget})
 	// Touch far more distinct blocks than the budget allows.
 	for b := uint64(0); b < 64*budget; b++ {
 		p.Access(b * 64)
@@ -504,10 +519,7 @@ func TestPooledPassesMatchFreshTrees(t *testing.T) {
 	fresh := make([]*Curve, len(passes))
 	for i, ps := range passes {
 		if ps.sampled {
-			p, err := NewSampledProfiler(ps.line, sampler)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := freshSampledProfiler(t, ps.line, sampler)
 			for _, r := range ps.refs {
 				p.Access(r.Addr)
 			}
@@ -515,10 +527,7 @@ func TestPooledPassesMatchFreshTrees(t *testing.T) {
 			evicted = evicted || fresh[i].Rate < sampler.Rate
 			continue
 		}
-		p, err := NewProfiler(ps.line)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := freshProfiler(t, ps.line)
 		for _, r := range ps.refs {
 			p.Access(r.Addr)
 		}

@@ -369,16 +369,6 @@ type Profiler struct {
 	refs      uint64
 }
 
-// NewProfiler returns an exact profiler at the given block (line)
-// size, which must be a positive power of two.
-func NewProfiler(lineSize int) (*Profiler, error) {
-	if err := validLineSize(lineSize); err != nil {
-		return nil, err
-	}
-	tree := newStackTree()
-	return &Profiler{lineShift: log2(uint64(lineSize)), lineSize: lineSize, tree: &tree}, nil
-}
-
 // Access records one reference. Loads and stores are profiled alike:
 // under write-allocate both promote their block to the top of the LRU
 // stack, which is what makes the curve match the simulator exactly.

@@ -1,7 +1,6 @@
 package mrc
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -55,19 +54,46 @@ type hashEntry struct {
 }
 
 // hashHeap is a max-heap on hash, so the next block to evict when the
-// budget is exceeded — the highest-hash one — is always on top.
+// budget is exceeded — the highest-hash one — is always on top. push
+// and pop make container/heap's swaps without boxing each entry.
 type hashHeap []hashEntry
 
-func (h hashHeap) Len() int           { return len(h) }
-func (h hashHeap) Less(i, j int) bool { return h[i].hash > h[j].hash }
-func (h hashHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *hashHeap) Push(x any)        { *h = append(*h, x.(hashEntry)) }
-func (h *hashHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+// push adds e and sifts it up.
+func (h *hashHeap) push(e hashEntry) {
+	s := append(*h, e)
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if s[j].hash <= s[i].hash {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+	*h = s
+}
+
+// pop removes and returns the top entry: it swaps the last entry to
+// the top and sifts it down.
+func (h *hashHeap) pop() hashEntry {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && s[j+1].hash > s[j].hash {
+			j++
+		}
+		if s[j].hash <= s[i].hash {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }
 
 // SampledProfiler approximates a reuse-distance profile by SHARDS
@@ -88,17 +114,6 @@ type SampledProfiler struct {
 	hist      map[uint64]float64 // scaled distance → weight
 	cold      float64
 	refs      uint64
-}
-
-// NewSampledProfiler returns a SHARDS profiler at the given block
-// (line) size — a positive power of two — and sampler config.
-func NewSampledProfiler(lineSize int, cfg SamplerConfig) (*SampledProfiler, error) {
-	tree := newStackTree()
-	p, err := newSampledProfiler(lineSize, cfg, &tree)
-	if err != nil {
-		return nil, err
-	}
-	return &p, nil
 }
 
 // newSampledProfiler validates lineSize and cfg and returns a SHARDS
@@ -155,7 +170,7 @@ func (p *SampledProfiler) Access(addr uint64) {
 	d := p.tree.access(block)
 	if d < 0 {
 		p.cold += w
-		heap.Push(&p.tracked, hashEntry{hash: h, block: block})
+		p.tracked.push(hashEntry{hash: h, block: block})
 		if p.tree.blocks() > p.budget {
 			p.evict()
 		}
@@ -169,12 +184,12 @@ func (p *SampledProfiler) Access(addr uint64) {
 // references to evicted blocks hash over the new threshold, so they
 // are consistently ignored rather than re-sampled as cold.
 func (p *SampledProfiler) evict() {
-	for p.tree.blocks() > p.budget && p.tracked.Len() > 0 {
-		top := heap.Pop(&p.tracked).(hashEntry)
+	for p.tree.blocks() > p.budget && len(p.tracked) > 0 {
+		top := p.tracked.pop()
 		p.threshold = top.hash
 		p.tree.remove(top.block)
-		for p.tracked.Len() > 0 && p.tracked[0].hash >= p.threshold {
-			p.tree.remove(heap.Pop(&p.tracked).(hashEntry).block)
+		for len(p.tracked) > 0 && p.tracked[0].hash >= p.threshold {
+			p.tree.remove(p.tracked.pop().block)
 		}
 	}
 }

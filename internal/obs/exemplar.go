@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"slices"
 	"sync"
 	"time"
 )
@@ -26,38 +27,28 @@ type Exemplar struct {
 // oldest-first once the budget is reached, so a burst of outliers
 // costs a fixed amount of memory and the newest evidence always wins.
 type Exemplars struct {
-	mu       sync.Mutex
-	max      int
-	list     []Exemplar // oldest first
-	captured int64
+	mu   sync.Mutex
+	kept ring[Exemplar]
 }
 
-// NewExemplars returns a store keeping at most max exemplars
+// NewExemplars returns a store keeping at most keep exemplars
 // (minimum 1).
-func NewExemplars(max int) *Exemplars {
-	if max < 1 {
-		max = 1
-	}
-	return &Exemplars{max: max}
+func NewExemplars(keep int) *Exemplars {
+	return &Exemplars{kept: newRing[Exemplar](max(keep, 1))}
 }
 
 // Add retains e, evicting the oldest exemplar when over budget.
 func (x *Exemplars) Add(e Exemplar) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.captured++
-	if len(x.list) >= x.max {
-		n := copy(x.list, x.list[len(x.list)-x.max+1:])
-		x.list = x.list[:n]
-	}
-	x.list = append(x.list, e)
+	x.kept.push(e)
 }
 
 // Len returns the number of retained exemplars.
 func (x *Exemplars) Len() int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return len(x.list)
+	return len(x.kept.items)
 }
 
 // Captured returns the total exemplars ever captured, including the
@@ -65,17 +56,15 @@ func (x *Exemplars) Len() int {
 func (x *Exemplars) Captured() int64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	return x.captured
+	return x.kept.pushed
 }
 
 // Snapshot returns the retained exemplars, newest first — the order
 // an operator debugging "what just got slow" wants.
 func (x *Exemplars) Snapshot() []Exemplar {
 	x.mu.Lock()
-	defer x.mu.Unlock()
-	out := make([]Exemplar, len(x.list))
-	for i, e := range x.list {
-		out[len(x.list)-1-i] = e
-	}
+	out := x.kept.inOrder()
+	x.mu.Unlock()
+	slices.Reverse(out)
 	return out
 }

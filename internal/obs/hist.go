@@ -117,18 +117,6 @@ func bucketLow(i int) int64 {
 	return (1<<subBits + sub) << shift
 }
 
-// Counter is an atomic counter. The zero value is 0; a Registry
-// family names it.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 // EngineStats bundles the engine-level instruments engine.Map and
 // engine.Memo record into when a context carries one (see
 // WithEngineStats): where each parallel job's time went — waiting for
@@ -143,9 +131,9 @@ type EngineStats struct {
 	// MemoHit / MemoMiss / MemoShared count Memo.Do outcomes: served
 	// from cache, computed by this call, or shared with another
 	// caller's in-flight computation.
-	MemoHit    *Counter
-	MemoMiss   *Counter
-	MemoShared *Counter
+	MemoHit    *atomic.Int64
+	MemoMiss   *atomic.Int64
+	MemoShared *atomic.Int64
 }
 
 // NewEngineStats returns an EngineStats with empty instruments.
@@ -153,9 +141,9 @@ func NewEngineStats() *EngineStats {
 	return &EngineStats{
 		Eval:       new(Histogram),
 		QueueWait:  new(Histogram),
-		MemoHit:    new(Counter),
-		MemoMiss:   new(Counter),
-		MemoShared: new(Counter),
+		MemoHit:    new(atomic.Int64),
+		MemoMiss:   new(atomic.Int64),
+		MemoShared: new(atomic.Int64),
 	}
 }
 
@@ -167,7 +155,7 @@ func (st *EngineStats) Register(r *Registry) {
 	r.Add(Family{Name: "engine_eval_duration", Kind: KindSummary, Collect: CollectHistogram(st.Eval)})
 	r.Add(Family{Name: "engine_queue_wait_duration", Kind: KindSummary, Collect: CollectHistogram(st.QueueWait)})
 	const help = "Engine memoization outcome count."
-	r.Add(Family{Name: "engine_memo_hits", Help: help, Kind: KindCounter, Collect: CollectInt(st.MemoHit.Value)})
-	r.Add(Family{Name: "engine_memo_misses", Help: help, Kind: KindCounter, Collect: CollectInt(st.MemoMiss.Value)})
-	r.Add(Family{Name: "engine_memo_shared_flights", Help: help, Kind: KindCounter, Collect: CollectInt(st.MemoShared.Value)})
+	r.Add(Family{Name: "engine_memo_hits", Help: help, Kind: KindCounter, Collect: CollectInt(st.MemoHit.Load)})
+	r.Add(Family{Name: "engine_memo_misses", Help: help, Kind: KindCounter, Collect: CollectInt(st.MemoMiss.Load)})
+	r.Add(Family{Name: "engine_memo_shared_flights", Help: help, Kind: KindCounter, Collect: CollectInt(st.MemoShared.Load)})
 }

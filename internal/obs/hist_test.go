@@ -105,12 +105,3 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("max = %v", h.Max())
 	}
 }
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Add(2)
-	c.Add(3)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-}

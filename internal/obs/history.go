@@ -19,36 +19,8 @@ type Sample struct {
 
 // seriesRing is one series' fixed-size sample ring.
 type seriesRing struct {
-	name    string
-	samples []Sample
-	next    int
-	full    bool
-}
-
-func (s *seriesRing) push(sm Sample) {
-	if len(s.samples) < cap(s.samples) {
-		s.samples = append(s.samples, sm)
-	} else {
-		s.samples[s.next] = sm
-		s.full = true
-	}
-	s.next++
-	if s.next == cap(s.samples) {
-		s.next = 0
-	}
-}
-
-// inOrder returns the retained samples oldest-first.
-func (s *seriesRing) inOrder() []Sample {
-	if !s.full {
-		out := make([]Sample, len(s.samples))
-		copy(out, s.samples)
-		return out
-	}
-	out := make([]Sample, 0, len(s.samples))
-	out = append(out, s.samples[s.next:]...)
-	out = append(out, s.samples[:s.next]...)
-	return out
+	name string
+	ring[Sample]
 }
 
 // TickSnapshot is one snapshot cycle's output: the tick time and every
@@ -115,7 +87,6 @@ type History struct {
 	series map[string]*seriesRing
 	subs   map[int]chan TickSnapshot
 	subID  int
-	ticks  int64
 }
 
 // NewHistory returns a store sampling regs every interval (default
@@ -153,13 +124,6 @@ func (h *History) Names() []string {
 	return out
 }
 
-// Ticks returns how many snapshot cycles have run.
-func (h *History) Ticks() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.ticks
-}
-
 // Tick collects every family at now, appends one sample per series
 // and fans the snapshot out to subscribers. Collection runs before the
 // store lock is taken, so a family may read this history. A value
@@ -191,7 +155,6 @@ func (h *History) Tick(now time.Time) TickSnapshot {
 		p.ring.push(Sample{T: snap.T, V: v})
 		snap.Values[p.ring.name] = v
 	}
-	h.ticks++
 	// Fan out under the lock: sends are non-blocking, and cancel
 	// deletes a subscriber from the map (also under the lock) before
 	// closing its channel, so a channel visible here cannot be closed
@@ -245,7 +208,7 @@ func (h *History) rings(f *Family, labels []string) []*seriesRing {
 	for i, name := range names {
 		sr, ok := h.series[name]
 		if !ok {
-			sr = &seriesRing{name: name, samples: make([]Sample, 0, h.capacity)}
+			sr = &seriesRing{name: name, ring: newRing[Sample](h.capacity)}
 			h.series[name] = sr
 			h.order = append(h.order, name)
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -206,11 +207,11 @@ func TestHistorySubscribeChurn(t *testing.T) {
 func TestHistoryRegisterHistogramAndCounter(t *testing.T) {
 	var hist Histogram
 	hist.Observe(100 * time.Millisecond)
-	var c Counter
+	var c atomic.Int64
 	c.Add(7)
 	r := NewRegistry()
 	r.Add(Family{Name: "reg_test_duration", Kind: KindSummary, Collect: CollectHistogram(&hist)})
-	r.Add(Family{Name: "reg_test_total", Kind: KindCounter, Collect: CollectInt(c.Value)})
+	r.Add(Family{Name: "reg_test_total", Kind: KindCounter, Collect: CollectInt(c.Load)})
 	h := NewHistory(time.Second, time.Minute, r)
 	snap := h.Tick(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	if snap.Values["reg_test_duration_count"] != 1 {

@@ -3,40 +3,21 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strconv"
+	"log/slog"
 	"strings"
-	"sync"
-	"time"
 )
 
-// Level orders log severities.
-type Level int8
-
+// The four levels tradeoffd logs at.
 const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
+	LevelDebug = slog.LevelDebug
+	LevelInfo  = slog.LevelInfo
+	LevelWarn  = slog.LevelWarn
+	LevelError = slog.LevelError
 )
 
-// String returns the level's lowercase name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	default:
-		return "level(" + strconv.Itoa(int(l)) + ")"
-	}
-}
-
-// ParseLevel maps a flag value onto a Level.
-func ParseLevel(s string) (Level, error) {
+// ParseLevel maps a flag value onto a level: debug, info, warn (or
+// warning) or error, in any case.
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(s) {
 	case "debug":
 		return LevelDebug, nil
@@ -50,102 +31,47 @@ func ParseLevel(s string) (Level, error) {
 	return LevelInfo, fmt.Errorf("unknown log level %q (want debug, info, warn or error)", s)
 }
 
-// Logger writes leveled key=value lines:
+// NewLogger returns a logger writing lines at or above level to w as
+// key=value text:
 //
-//	ts=2026-08-06T12:00:00.000Z level=info msg="listening" addr=:8080
+//	ts=2026-08-06T12:00:00.000Z level=info msg=listening addr=:8080
 //
-// Lines below the logger's level are dropped before formatting. A nil
-// *Logger is valid and logs nothing, so call sites never need a nil
-// check. With derives child loggers carrying bound fields (a request
-// ID, a subsystem name) that prefix every line.
-type Logger struct {
-	mu    *sync.Mutex // shared across With-derived children
-	w     io.Writer
-	level Level
-	bound string           // pre-rendered " k=v k=v" suffix
-	now   func() time.Time // test hook; defaults to time.Now
+// The timestamp is UTC to the millisecond and the level is lowercase;
+// everything else is slog's TextHandler, which quotes a value only
+// when it holds spaces, quotes, '=' or control characters.
+func NewLogger(w io.Writer, level slog.Level) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level, ReplaceAttr: lineFormat}))
 }
 
-// NewLogger returns a Logger writing lines at or above level to w.
-func NewLogger(w io.Writer, level Level) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, level: level, now: time.Now}
-}
-
-// With returns a child logger whose lines carry the given key/value
-// pairs after the message. Pairs are alternating key, value; a
-// trailing odd key gets the value "(missing)".
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil {
-		return nil
+// lineFormat renames slog's built-in time key to ts, in UTC, and
+// lowercases its level.
+func lineFormat(groups []string, a slog.Attr) slog.Attr {
+	if len(groups) > 0 {
+		return a
 	}
-	child := *l
-	var b strings.Builder
-	b.WriteString(l.bound)
-	appendPairs(&b, kv)
-	child.bound = b.String()
-	return &child
-}
-
-// Enabled reports whether lines at level would be written.
-func (l *Logger) Enabled(level Level) bool { return l != nil && level >= l.level }
-
-// Debug logs at LevelDebug.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info logs at LevelInfo.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn logs at LevelWarn.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error logs at LevelError.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(level Level, msg string, kv []any) {
-	if !l.Enabled(level) {
-		return
-	}
-	var b strings.Builder
-	b.WriteString("ts=")
-	b.WriteString(l.now().UTC().Format("2006-01-02T15:04:05.000Z"))
-	b.WriteString(" level=")
-	b.WriteString(level.String())
-	b.WriteString(" msg=")
-	b.WriteString(quoteValue(msg))
-	b.WriteString(l.bound)
-	appendPairs(&b, kv)
-	b.WriteByte('\n')
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	_, _ = io.WriteString(l.w, b.String()) // logging best-effort by design
-}
-
-// appendPairs renders alternating key/value pairs as " k=v".
-func appendPairs(b *strings.Builder, kv []any) {
-	for i := 0; i < len(kv); i += 2 {
-		key := fmt.Sprint(kv[i])
-		val := "(missing)"
-		if i+1 < len(kv) {
-			val = fmt.Sprint(kv[i+1])
-		}
-		b.WriteByte(' ')
-		b.WriteString(key)
-		b.WriteByte('=')
-		b.WriteString(quoteValue(val))
-	}
-}
-
-// quoteValue quotes a value only when it needs it — spaces, quotes,
-// '=' or control characters — keeping the common case grep-friendly.
-func quoteValue(s string) string {
-	if s == "" {
-		return `""`
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c <= ' ' || c == '"' || c == '=' || c == 0x7f {
-			return strconv.Quote(s)
+	switch {
+	case a.Key == slog.TimeKey && a.Value.Kind() == slog.KindTime:
+		return slog.Time("ts", a.Value.Time().UTC())
+	case a.Key == slog.LevelKey:
+		if lv, ok := a.Value.Any().(slog.Level); ok {
+			a.Value = slog.StringValue(levelName(lv))
 		}
 	}
-	return s
+	return a
+}
+
+// levelName is the lowercase name of lv, without allocating for the
+// four named levels.
+func levelName(lv slog.Level) string {
+	switch lv {
+	case LevelDebug:
+		return "debug"
+	case LevelInfo:
+		return "info"
+	case LevelWarn:
+		return "warn"
+	case LevelError:
+		return "error"
+	}
+	return strings.ToLower(lv.String())
 }

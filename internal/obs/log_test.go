@@ -3,22 +3,30 @@ package obs
 import (
 	"bytes"
 	"context"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
 )
 
-func testLogger(buf *bytes.Buffer, level Level) *Logger {
-	l := NewLogger(buf, level)
-	fixed := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	l.now = func() time.Time { return fixed }
-	return l
+// logAt writes one record stamped at, through l's handler, as l.Log
+// would at that instant.
+func logAt(t *testing.T, l *slog.Logger, at time.Time, level slog.Level, msg string, args ...any) {
+	t.Helper()
+	r := slog.NewRecord(at, level, msg, 0)
+	r.Add(args...)
+	if err := l.Handler().Handle(context.Background(), r); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestLoggerFormat(t *testing.T) {
 	var buf bytes.Buffer
-	l := testLogger(&buf, LevelInfo)
-	l.Info("listening", "addr", ":8080", "workers", 4)
+	l := NewLogger(&buf, LevelInfo)
+	// 14:00 at UTC+2, and under a millisecond past it: the line shows
+	// the instant in UTC, truncated to the millisecond.
+	at := time.Date(2026, 8, 6, 14, 0, 0, 999_999, time.FixedZone("CEST", 2*3600))
+	logAt(t, l, at, LevelInfo, "listening", "addr", ":8080", "workers", 4)
 	want := `ts=2026-08-06T12:00:00.000Z level=info msg=listening addr=:8080 workers=4` + "\n"
 	if buf.String() != want {
 		t.Fatalf("line = %q, want %q", buf.String(), want)
@@ -27,7 +35,7 @@ func TestLoggerFormat(t *testing.T) {
 
 func TestLoggerQuoting(t *testing.T) {
 	var buf bytes.Buffer
-	l := testLogger(&buf, LevelInfo)
+	l := NewLogger(&buf, LevelInfo)
 	l.Info("two words", "empty", "", "eq", "a=b", "ctl", "a\nb")
 	line := buf.String()
 	for _, want := range []string{`msg="two words"`, `empty=""`, `eq="a=b"`, `ctl="a\nb"`} {
@@ -37,32 +45,26 @@ func TestLoggerQuoting(t *testing.T) {
 	}
 }
 
-func TestLoggerLevelsAndNil(t *testing.T) {
+func TestLoggerLevels(t *testing.T) {
 	var buf bytes.Buffer
-	l := testLogger(&buf, LevelWarn)
+	l := NewLogger(&buf, LevelWarn)
 	l.Debug("nope")
 	l.Info("nope")
 	l.Warn("yes")
 	l.Error("also")
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 || !strings.Contains(lines[0], "level=warn") || !strings.Contains(lines[1], "level=error") {
+	if len(lines) != 2 || !strings.Contains(lines[0], " level=warn ") || !strings.Contains(lines[1], " level=error ") {
 		t.Fatalf("lines = %q", lines)
 	}
-	if l.Enabled(LevelDebug) || !l.Enabled(LevelError) {
+	ctx := context.Background()
+	if l.Enabled(ctx, LevelDebug) || !l.Enabled(ctx, LevelError) {
 		t.Fatal("Enabled disagrees with level")
-	}
-
-	var nilLogger *Logger
-	nilLogger.Info("safe")             // no panic
-	nilLogger.With("k", "v").Error("") // With on nil stays nil
-	if nilLogger.Enabled(LevelError) {
-		t.Fatal("nil logger must be disabled")
 	}
 }
 
 func TestLoggerWith(t *testing.T) {
 	var buf bytes.Buffer
-	l := testLogger(&buf, LevelInfo).With("request_id", "abc123")
+	l := NewLogger(&buf, LevelInfo).With("request_id", "abc123")
 	l.Info("access", "status", 200)
 	if want := "msg=access request_id=abc123 status=200"; !strings.Contains(buf.String(), want) {
 		t.Fatalf("line = %q, want it to contain %q", buf.String(), want)
@@ -70,7 +72,7 @@ func TestLoggerWith(t *testing.T) {
 }
 
 func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{"debug": LevelDebug, "INFO": LevelInfo, "warning": LevelWarn, "error": LevelError} {
+	for s, want := range map[string]slog.Level{"debug": LevelDebug, "INFO": LevelInfo, "Warn": LevelWarn, "warning": LevelWarn, "ERROR": LevelError} {
 		got, err := ParseLevel(s)
 		if err != nil || got != want {
 			t.Errorf("ParseLevel(%q) = %v, %v", s, got, err)

@@ -1,8 +1,8 @@
 // Package obs is the repo's dependency-free observability core:
 // context-propagated tracing spans exportable as Chrome trace_event
 // JSON, lock-cheap log-bucketed latency histograms with quantile
-// estimation, a leveled key=value logger, and request-ID generation
-// and validation.
+// estimation, the key=value line format of the log/slog logger the
+// service writes, and request-ID generation and validation.
 // A Registry names each metric family once; Prometheus exposition
 // (WritePrometheus) and the in-process metrics History both iterate
 // it, so no exporter spells a series name of its own.

@@ -24,6 +24,38 @@ type SpanRecord struct {
 // End returns the span's completion time.
 func (r SpanRecord) End() time.Time { return r.Start.Add(r.Dur) }
 
+// ring keeps the last cap(items) values pushed, overwriting the
+// oldest once full. Its owners lock around it.
+type ring[T any] struct {
+	items  []T   // grows to its capacity, then stays full
+	next   int   // the slot the next push writes once full
+	pushed int64 // pushes ever, including the overwritten ones
+}
+
+func newRing[T any](capacity int) ring[T] {
+	return ring[T]{items: make([]T, 0, capacity)}
+}
+
+func (r *ring[T]) push(v T) {
+	if len(r.items) < cap(r.items) {
+		r.items = append(r.items, v)
+	} else {
+		r.items[r.next] = v
+	}
+	r.next++
+	if r.next == cap(r.items) {
+		r.next = 0
+	}
+	r.pushed++
+}
+
+// inOrder returns a copy of the retained values, oldest first. Until
+// the ring fills, next is len(items), so items[next:] is empty.
+func (r *ring[T]) inOrder() []T {
+	out := make([]T, 0, len(r.items))
+	return append(append(out, r.items[r.next:]...), r.items[:r.next]...)
+}
+
 // SpanRing is the always-on flight recorder: a bounded ring of the
 // most recently completed spans. Record overwrites the oldest entry
 // once the ring is full, so memory is fixed at capacity × record size
@@ -34,26 +66,14 @@ func (r SpanRecord) End() time.Time { return r.Start.Add(r.Dur) }
 // slot copy (Record) and a linear scan-copy (Snapshot); writers are
 // never blocked on JSON encoding or I/O.
 type SpanRing struct {
-	mu       sync.Mutex
-	recs     []SpanRecord
-	next     int   // next write slot
-	recorded int64 // total Records ever, for drop accounting
+	mu   sync.Mutex
+	recs ring[SpanRecord]
 }
 
 // NewSpanRing returns a ring holding the last capacity spans
 // (minimum 16).
 func NewSpanRing(capacity int) *SpanRing {
-	if capacity < 16 {
-		capacity = 16
-	}
-	return &SpanRing{recs: make([]SpanRecord, 0, capacity)}
-}
-
-// Cap returns the ring's fixed capacity.
-func (r *SpanRing) Cap() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return cap(r.recs)
+	return &SpanRing{recs: newRing[SpanRecord](max(capacity, 16))}
 }
 
 // Recorded returns the total number of spans ever recorded; recorded
@@ -61,22 +81,13 @@ func (r *SpanRing) Cap() int {
 func (r *SpanRing) Recorded() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.recorded
+	return r.recs.pushed
 }
 
 // Record stores one completed span, overwriting the oldest once full.
 func (r *SpanRing) Record(rec SpanRecord) {
 	r.mu.Lock()
-	if len(r.recs) < cap(r.recs) {
-		r.recs = append(r.recs, rec)
-	} else {
-		r.recs[r.next] = rec
-	}
-	r.next++
-	if r.next == cap(r.recs) {
-		r.next = 0
-	}
-	r.recorded++
+	r.recs.push(rec)
 	r.mu.Unlock()
 }
 
@@ -85,8 +96,8 @@ func (r *SpanRing) Record(rec SpanRecord) {
 // enclosing span precedes the spans it contains).
 func (r *SpanRing) Snapshot(since time.Time) []SpanRecord {
 	r.mu.Lock()
-	out := make([]SpanRecord, 0, len(r.recs))
-	for _, rec := range r.recs {
+	out := make([]SpanRecord, 0, len(r.recs.items))
+	for _, rec := range r.recs.items {
 		if !rec.End().Before(since) {
 			out = append(out, rec)
 		}

@@ -36,7 +36,7 @@ func TestNonFiniteResultsRejected(t *testing.T) {
 		}
 		for _, url := range urls {
 			for try := 0; try < 2; try++ {
-				before := s.metrics.endpoint(c.path).evaluations.Value()
+				before := s.metrics.endpoint(c.path).evaluations.Load()
 				resp, body := post(t, url, c.body)
 				if resp.StatusCode != http.StatusUnprocessableEntity {
 					t.Fatalf("%s try %d: status %d, want 422: %s", url, try, resp.StatusCode, body)
@@ -45,7 +45,7 @@ func TestNonFiniteResultsRejected(t *testing.T) {
 				if err := json.Unmarshal(body, &e); err != nil || !strings.Contains(e.Error, "overflow") {
 					t.Fatalf("%s: error body %q (%v), want a JSON overflow error", url, body, err)
 				}
-				if n := s.metrics.endpoint(c.path).evaluations.Value() - before; n != 1 {
+				if n := s.metrics.endpoint(c.path).evaluations.Load() - before; n != 1 {
 					t.Fatalf("%s try %d: %d evaluations, want 1 (a rejection must not be memoized)", url, try, n)
 				}
 			}

@@ -22,10 +22,10 @@ import (
 // default JSON document is rendered by hand from the same instruments
 // (writeMetricsJSON).
 type metrics struct {
-	requests    obs.Counter  // requests accepted, all endpoints
-	errors      obs.Counter  // responses with status >= 400
-	cacheHits   obs.Counter  // memoization hits (cache or shared flight)
-	cacheMisses obs.Counter  // memoization misses
+	requests    atomic.Int64 // requests accepted, all endpoints
+	errors      atomic.Int64 // responses with status >= 400
+	cacheHits   atomic.Int64 // memoization hits (cache or shared flight)
+	cacheMisses atomic.Int64 // memoization misses
 	inFlight    atomic.Int64 // requests currently being served
 
 	// endpoints holds one endpointStats per instrumented route, sorted
@@ -39,7 +39,7 @@ type metrics struct {
 	// counts the passes.
 	xvalMu     sync.Mutex
 	xval       map[string]xvalSample
-	xvalPasses obs.Counter
+	xvalPasses atomic.Int64
 }
 
 func newMetrics() *metrics {
@@ -49,10 +49,10 @@ func newMetrics() *metrics {
 // endpointStats is one route's instruments.
 type endpointStats struct {
 	route       string
-	labels      []string    // {route}: the endpoint label value
-	requests    obs.Counter // requests the route accepted
-	errors      obs.Counter // its responses with status >= 400
-	evaluations obs.Counter // runs of its evaluation: requests - evaluations is what the memo absorbed
+	labels      []string     // {route}: the endpoint label value
+	requests    atomic.Int64 // requests the route accepted
+	errors      atomic.Int64 // its responses with status >= 400
+	evaluations atomic.Int64 // runs of its evaluation: requests - evaluations is what the memo absorbed
 	duration    obs.Histogram
 }
 
@@ -129,14 +129,14 @@ func (s *Server) registerMetrics() {
 	gauge := func(name, help string, v func() int64) {
 		r.Add(obs.Family{Name: name, Help: help, Kind: obs.KindGauge, Collect: obs.CollectInt(v)})
 	}
-	counter("requests_total", "Requests accepted across all endpoints.", m.requests.Value)
-	counter("errors_total", "Responses with status >= 400.", m.errors.Value)
-	counter("cache_hits", "Response-memo hits (cache or shared flight).", m.cacheHits.Value)
-	counter("cache_misses", "Response-memo misses.", m.cacheMisses.Value)
+	counter("requests_total", "Requests accepted across all endpoints.", m.requests.Load)
+	counter("errors_total", "Responses with status >= 400.", m.errors.Load)
+	counter("cache_hits", "Response-memo hits (cache or shared flight).", m.cacheHits.Load)
+	counter("cache_misses", "Response-memo misses.", m.cacheMisses.Load)
 	gauge("cache_bytes", "Bytes held by the response memo.", s.cache.Bytes)
 	gauge("in_flight", "Requests currently being served.", m.inFlight.Load)
 
-	counter("xval_passes_total", "Cross-validation passes completed by the model-vs-exact loop.", m.xvalPasses.Value)
+	counter("xval_passes_total", "Cross-validation passes completed by the model-vs-exact loop.", m.xvalPasses.Load)
 	for _, g := range []struct {
 		name, help string
 		get        func(xvalSample) float64
@@ -155,15 +155,15 @@ func (s *Server) registerMetrics() {
 
 	for _, c := range []struct {
 		name string
-		get  func(*endpointStats) *obs.Counter
+		get  func(*endpointStats) *atomic.Int64
 	}{
-		{"endpoint_requests", func(ep *endpointStats) *obs.Counter { return &ep.requests }},
-		{"endpoint_errors", func(ep *endpointStats) *obs.Counter { return &ep.errors }},
-		{"endpoint_evaluations", func(ep *endpointStats) *obs.Counter { return &ep.evaluations }},
+		{"endpoint_requests", func(ep *endpointStats) *atomic.Int64 { return &ep.requests }},
+		{"endpoint_errors", func(ep *endpointStats) *atomic.Int64 { return &ep.errors }},
+		{"endpoint_evaluations", func(ep *endpointStats) *atomic.Int64 { return &ep.evaluations }},
 	} {
 		r.Add(obs.Family{Name: c.name, Kind: obs.KindCounter, Labels: []string{"endpoint"}, Collect: func(emit func(obs.Point)) {
 			for _, ep := range m.endpointList() {
-				emit(obs.Point{Labels: ep.labels, Value: float64(c.get(ep).Value())})
+				emit(obs.Point{Labels: ep.labels, Value: float64(c.get(ep).Load())})
 			}
 		}})
 	}
@@ -282,17 +282,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (s *Server) writeMetricsJSON(buf *bytes.Buffer) {
 	m := s.metrics
 	fmt.Fprintf(buf, "{\n\"cache_bytes\": %d,\n\"cache_hits\": %d,\n\"cache_misses\": %d,\n\"endpoints\": {",
-		s.cache.Bytes(), m.cacheHits.Value(), m.cacheMisses.Value())
+		s.cache.Bytes(), m.cacheHits.Load(), m.cacheMisses.Load())
 	for i, ep := range m.endpointList() {
 		if i > 0 {
 			buf.WriteString(", ")
 		}
 		fmt.Fprintf(buf, "%q: {\"duration_count\": %d, \"duration_ns_max\": %d, \"duration_ns_total\": %d, \"errors\": %d, \"evaluations\": %d, \"latency_us_total\": %d, \"requests\": %d}",
 			ep.route, ep.duration.Count(), ep.duration.Max().Nanoseconds(), ep.duration.Sum().Nanoseconds(),
-			ep.errors.Value(), ep.evaluations.Value(), ep.duration.Sum().Microseconds(), ep.requests.Value())
+			ep.errors.Load(), ep.evaluations.Load(), ep.duration.Sum().Microseconds(), ep.requests.Load())
 	}
 	fmt.Fprintf(buf, "},\n\"errors_total\": %d,\n\"in_flight\": %d,\n\"requests_total\": %d,\n",
-		m.errors.Value(), m.inFlight.Load(), m.requests.Value())
+		m.errors.Load(), m.inFlight.Load(), m.requests.Load())
 	if len(s.opts.SLOs) > 0 {
 		slo, err := json.Marshal(s.sloStatuses(s.now()))
 		if err != nil {
@@ -306,5 +306,5 @@ func (s *Server) writeMetricsJSON(buf *bytes.Buffer) {
 	if err != nil {
 		xval = []byte("{}")
 	}
-	fmt.Fprintf(buf, "\"xval\": %s,\n\"xval_passes\": %d\n}\n", xval, m.xvalPasses.Value())
+	fmt.Fprintf(buf, "\"xval\": %s,\n\"xval_passes\": %d\n}\n", xval, m.xvalPasses.Load())
 }

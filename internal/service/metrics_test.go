@@ -68,10 +68,10 @@ func TestInstrumentPanicRestoresGauges(t *testing.T) {
 	if got := m.inFlight.Load(); got != 0 {
 		t.Fatalf("in_flight leaked: %d", got)
 	}
-	if got := m.errors.Value(); got != 1 {
+	if got := m.errors.Load(); got != 1 {
 		t.Fatalf("errors = %d, want 1 (panic counts as 500)", got)
 	}
-	if got := m.endpoint("/boom").errors.Value(); got != 1 {
+	if got := m.endpoint("/boom").errors.Load(); got != 1 {
 		t.Fatalf("endpoint errors = %d, want 1", got)
 	}
 	if got := m.endpoint("/boom").duration.Count(); got != 1 {

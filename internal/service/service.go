@@ -54,6 +54,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/pprof"
@@ -91,7 +92,7 @@ type Options struct {
 	StallLimits simjob.Limits
 	// Logger, when non-nil, receives one structured access-log line per
 	// request (method, path, status, duration, request ID).
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Pprof registers net/http/pprof's profiling endpoints under
 	// /debug/pprof/. Off by default: profiling handlers expose enough
 	// internals that they are opt-in (tradeoffd's -pprof flag).
@@ -349,7 +350,7 @@ func (s *Server) captureSlow(ri *reqInfo, id string, tracer *obs.Tracer, start t
 }
 
 // CacheHits returns the memoization hit count (for tests and ops).
-func (s *Server) CacheHits() int64 { return s.metrics.cacheHits.Value() }
+func (s *Server) CacheHits() int64 { return s.metrics.cacheHits.Load() }
 
 // TradeoffRequest is the POST /v1/tradeoff payload. Omitted fields
 // take the same defaults as the tradeoff CLI flags.

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 
 	"tradeoff/internal/core"
 	"tradeoff/internal/model"
+	"tradeoff/internal/obs"
 	"tradeoff/internal/simjob"
 	"tradeoff/internal/sweep"
 )
@@ -495,7 +497,7 @@ func TestSweepSingleflight(t *testing.T) {
 			t.Fatalf("request %d returned different bytes than request 0", i)
 		}
 	}
-	if got := s.metrics.endpoint("/v1/sweep").evaluations.Value(); got != 1 {
+	if got := s.metrics.endpoint("/v1/sweep").evaluations.Load(); got != 1 {
 		t.Fatalf("%d concurrent identical sweeps ran %d evaluations, want exactly 1", n, got)
 	}
 	if hits := s.CacheHits(); hits != n-1 {
@@ -590,6 +592,55 @@ func TestStallMemoized(t *testing.T) {
 	}
 	if s.CacheHits() != before+1 {
 		t.Fatalf("cache hits %d, want %d", s.CacheHits(), before+1)
+	}
+}
+
+// TestStallTraceGenSpan pins the trace cache's span: a grid over a new
+// (program, seed, refs) generates its trace once, in one trace_gen
+// span nested in one of its sim_job spans, however many cache
+// geometries read it. A second grid over the same trace, which the
+// response memo misses, replays from the cached trace and opens none.
+func TestStallTraceGenSpan(t *testing.T) {
+	s, ts := newTestServer(t)
+	spans := func(name string) []obs.SpanRecord {
+		var out []obs.SpanRecord
+		for _, rec := range s.ring.Snapshot(time.Time{}) {
+			if rec.Name == name {
+				out = append(out, rec)
+			}
+		}
+		return out
+	}
+	grid := `{"programs":["wave5"],"refs":3000,"seed":77,"cache_kb":[4,8,16],"features":["BL"],"beta_m":[%d]}`
+	if resp, body := post(t, ts.URL+"/v1/stall", fmt.Sprintf(grid, 4)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	gens, jobs := spans("trace_gen"), spans("sim_job")
+	if len(gens) != 1 || len(jobs) != 3 {
+		t.Fatalf("%d trace_gen and %d sim_job spans, want 1 and 3", len(gens), len(jobs))
+	}
+	gen := gens[0]
+	args := map[string]any{}
+	for _, a := range gen.Args {
+		args[a.Key] = a.Value
+	}
+	if args["workload"] != "wave5" || args["refs"] != 3000 {
+		t.Fatalf("trace_gen args %v, want workload wave5 and refs 3000", gen.Args)
+	}
+	nested := false
+	for _, job := range jobs {
+		nested = nested || (!gen.Start.Before(job.Start) && !job.End().Before(gen.End()))
+	}
+	if !nested {
+		t.Fatalf("trace_gen [%v, %v] lies in no sim_job span", gen.Start, gen.End())
+	}
+
+	resp, body := post(t, ts.URL+"/v1/stall", fmt.Sprintf(grid, 10))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("status %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	if gens, jobs := spans("trace_gen"), spans("sim_job"); len(gens) != 1 || len(jobs) != 6 {
+		t.Fatalf("after a grid over the cached trace: %d trace_gen and %d sim_job spans, want 1 and 6", len(gens), len(jobs))
 	}
 }
 

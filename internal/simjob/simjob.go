@@ -44,13 +44,10 @@ type TraceSpec struct {
 	Refs    int    `json:"refs"`
 }
 
-// Materialize generates the trace the spec names.
-func (s TraceSpec) Materialize() ([]trace.Ref, error) {
-	src, err := trace.NewWorkload(s.Program, s.Seed)
-	if err != nil {
-		return nil, err
-	}
-	return trace.Collect(src, s.Refs), nil
+// Materialize generates the trace the spec names, in a trace_gen span
+// on ctx.
+func (s TraceSpec) Materialize(ctx context.Context) ([]trace.Ref, error) {
+	return trace.Generate(ctx, s.Program, s.Seed, s.Refs)
 }
 
 // key is the spec's engine.Memo key.
@@ -90,9 +87,9 @@ func newTraceCache(maxBytes int64) *TraceCache {
 // Get returns the memoized trace for spec, materializing it on first
 // use. Concurrent callers for the same spec share one generation.
 func (tc *TraceCache) Get(ctx context.Context, spec TraceSpec) ([]trace.Ref, error) {
-	refs, _, err := tc.memo.Do(ctx, spec.key(), func(context.Context) ([]trace.Ref, error) {
+	refs, _, err := tc.memo.Do(ctx, spec.key(), func(ctx context.Context) ([]trace.Ref, error) {
 		tc.generated.Add(1)
-		return spec.Materialize()
+		return spec.Materialize(ctx)
 	})
 	return refs, err
 }

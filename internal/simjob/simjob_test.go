@@ -43,7 +43,7 @@ func serialGrid(t *testing.T, g Grid) []PointResult {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs, err := job.Trace.Materialize()
+		refs, err := job.Trace.Materialize(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestWarmMatchesHandWarmed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs, err := job.Trace.Materialize()
+		refs, err := job.Trace.Materialize(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestRunGroupsMatchPerJob(t *testing.T) {
 	jobs := groupedJobs()
 	want := make([]stall.Result, len(jobs))
 	for i, job := range jobs {
-		refs, err := job.Trace.Materialize()
+		refs, err := job.Trace.Materialize(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

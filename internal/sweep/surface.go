@@ -255,12 +255,14 @@ func (p point) level(cfg Config, i int) cache.Config {
 
 // collectTrace generates the request's trace, the first SimRefs
 // references of workload name at cfg.Seed, in a trace_gen span.
+// Validate has passed, so the workload is known and generation cannot
+// fail.
 func collectTrace(ctx context.Context, name string, cfg Config) []trace.Ref {
-	_, span := obs.StartSpan(ctx, "trace_gen")
-	defer span.End()
-	span.SetArg("workload", name)
-	span.SetArg("refs", cfg.SimRefs)
-	return trace.Collect(trace.MustWorkload(name, cfg.Seed), cfg.SimRefs)
+	refs, err := trace.Generate(ctx, name, cfg.Seed, cfg.SimRefs)
+	if err != nil {
+		panic(err)
+	}
+	return refs
 }
 
 // locals returns a hierarchy point's per-level local hit ratios, top

@@ -1,6 +1,11 @@
 package trace
 
-import "sort"
+import (
+	"context"
+	"sort"
+
+	"tradeoff/internal/obs"
+)
 
 // Zipf names the synthetic independent-reference workload accepted
 // alongside the six SPEC92-like programs wherever a workload name is
@@ -23,6 +28,22 @@ func NewWorkload(name string, seed uint64) (Source, error) {
 		return nil, err
 	}
 	return spec.Source(), nil
+}
+
+// Generate returns the first n references of the named workload at
+// seed, in a trace_gen span on ctx whose args are workload and refs.
+// Every trace a request or a validation pass generates by name comes
+// from here, so each shows up in a trace the same way.
+func Generate(ctx context.Context, name string, seed uint64, n int) ([]Ref, error) {
+	src, err := NewWorkload(name, seed)
+	if err != nil {
+		return nil, err
+	}
+	_, span := obs.StartSpan(ctx, "trace_gen")
+	defer span.End()
+	span.SetArg("workload", name)
+	span.SetArg("refs", n)
+	return Collect(src, n), nil
 }
 
 // MustWorkload is NewWorkload but panics on an unknown name, for tests
